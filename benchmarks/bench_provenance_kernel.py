@@ -125,13 +125,13 @@ def _provenance_workload(db, query, target, seed: int = 0) -> Scenario:
         prov = why_provenance(query, db)
         k = prov.kernel
         effects = [
-            k.side_effects_mask(target, k.encode_deletions(frozenset({s})))
+            k.side_effects_mask(target, k.encode_deletions_auto(frozenset({s})))
             for s in candidates
         ]
         rows = prov.rows
         survival = []
         for dels in deletion_sets:
-            mask = k.encode_deletions(dels)
+            mask = k.encode_deletions_auto(dels)
             survival.extend(k.survives_mask(row, mask) for row in rows)
         return effects, survival
 

@@ -11,10 +11,10 @@ Three modes:
   Finishes in seconds, so kernel regressions (correctness or a gross perf
   cliff tripping an assertion) surface without paying full benchmark cost.
 * ``python benchmarks/run_all.py --compare BASELINE.json`` — the CI perf
-  gate: regenerate the tracked plan/optimizer/sharded/segmask/columnar/
+  gate: regenerate the tracked plan/optimizer/sharded/columnar/
   witness/service/maintenance/observability medians into a scratch file
   (``bench_plan_compile.py`` + ``bench_optimizer.py`` +
-  ``bench_sharded.py`` + ``bench_segmask.py`` + ``bench_columnar.py`` +
+  ``bench_sharded.py`` + ``bench_columnar.py`` +
   ``bench_witness.py`` + ``bench_service.py`` +
   ``bench_maintenance.py`` + ``bench_observability.py``), then fail if
   any tracked
@@ -70,7 +70,6 @@ TRACKED_MEDIANS = (
     "compile_median_speedup",
     "optimizer.median_speedup",
     "sharded.median_speedup_workers4",
-    "segmask.median_speedup",
     "columnar.median_speedup",
     "witness.median_speedup",
     "service.median_speedup_batched",
@@ -206,7 +205,6 @@ def run_compare(baseline_path: str) -> int:
             "bench_plan_compile.py",
             "bench_optimizer.py",
             "bench_sharded.py",
-            "bench_segmask.py",
             "bench_columnar.py",
             "bench_witness.py",
             "bench_service.py",

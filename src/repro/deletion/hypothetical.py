@@ -7,10 +7,11 @@ compiled physical plan (:mod:`repro.algebra.plan`) with a why-provenance
 kernel (:class:`~repro.provenance.bitset.BitsetProvenance`) behind one
 object, :class:`HypotheticalDeletions`, that answers the question two ways:
 
-* **mask path** (default): candidates are encoded to bitmasks over the
-  kernel's :class:`~repro.provenance.interning.SourceIndex`; survival is
-  answered through the kernel's inverted source-bit index without touching
-  the database, and whole vectors of candidates are answered in one batch
+* **mask path** (default): candidates are encoded to ascending id tuples
+  over the kernel's :class:`~repro.provenance.interning.SourceIndex`;
+  survival is answered by the kernel's one survival kernel through its
+  inverted source-bit index without touching the database, and whole
+  vectors of candidates are answered in one batch
   (:meth:`HypotheticalDeletions.batch_view_after`);
 * **compiled-plan fallback**: when provenance was refused — on the NP-hard
   fragments the annotated evaluation itself can be exponential, which is
@@ -146,9 +147,9 @@ class HypotheticalDeletions:
         """
         if self._kernel is not None:
             kernel = self._kernel
-            masks = [kernel.encode_deletions_auto(d) for d in deletion_sets]
+            encoded = [kernel.encode_deletions_auto(d) for d in deletion_sets]
             return kernel.batch_surviving_rows(
-                masks, workers=self._effective_workers(workers)
+                encoded, workers=self._effective_workers(workers)
             )
         return [self.view_after(d) for d in deletion_sets]
 

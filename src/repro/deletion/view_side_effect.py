@@ -35,7 +35,7 @@ The candidate scans run **batched**: candidate deletion sets are collected
 into vectors (the hitting-set enumeration in chunks, to preserve its lazy
 budget-guarded behaviour) and answered through
 :meth:`~repro.provenance.why.WhyProvenance.batch_side_effects`, which on the
-bitset kernel encodes the whole vector to masks and shares the
+bitset kernel encodes the whole vector to id tuples and shares the
 inverted-index lookups across candidates instead of re-answering each one
 from scratch.  A ``workers`` argument shards those vectors across worker
 threads/processes (:mod:`repro.parallel`); candidate chunks grow to

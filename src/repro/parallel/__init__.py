@@ -21,8 +21,8 @@ deterministically:
   (:mod:`repro.service`) sit on.
 
 The snapshot is immutable, so threads share it zero-copy and forked worker
-processes share it copy-on-write; spawned workers receive one pickled copy
-each.  Answers are bit-identical to the serial path for every worker count
+processes share it copy-on-write; on hosts without ``fork`` workers attach
+its memory-mapped flat file instead.  Answers are bit-identical to the serial path for every worker count
 and backend — pinned by the property tests in ``tests/test_sharded.py``.
 """
 

@@ -14,12 +14,11 @@ Backends:
   time in numpy/scipy C routines that release the GIL, so threads scale on
   multicore hosts while sharing the snapshot zero-copy.
 * ``"process"`` — a process pool.  The snapshot travels to each worker
-  once, through the pool initializer; per task only the chunk's masks
-  travel.  With ``ship_segments`` (automatic on spawn-only hosts, where
-  the initializer pickles the whole snapshot per pool) each shard instead
-  ships a **restricted** snapshot covering only the segments its chunk
-  touches (:meth:`~repro.parallel.shards.ShardSnapshot.restrict`), so the
-  bytes on the wire are proportional to the shard, not the universe.
+  once, through the pool initializer (copy-on-write under ``fork``); per
+  task only the chunk's masks travel.  On hosts without ``fork`` the
+  snapshot is instead written once to its memory-mapped flat file and
+  each task ships only the path (``ship_mmap``), so no snapshot bytes are
+  pickled at all.
 * ``"auto"`` — ``process`` when the host has more than one CPU, fork is
   available, and the vector is large enough to amortize pool start-up;
   ``thread`` otherwise.
@@ -96,14 +95,6 @@ def _run_chunk(args: Tuple[Sequence[int], int, int]) -> List[Tuple[int, ...]]:
     return _WORKER_SNAPSHOT.destroyed_indices_chunk(masks, start, stop)
 
 
-def _run_chunk_payload(
-    args: Tuple[ShardSnapshot, Sequence],
-) -> List[Tuple[int, ...]]:
-    """Worker-side: answer one self-contained (snapshot, masks) task."""
-    snapshot, masks = args
-    return snapshot.destroyed_indices_chunk(masks, 0, len(masks))
-
-
 #: Per-process cache of snapshots attached from flat files, so a worker
 #: answering many chunks of the same snapshot maps the file exactly once.
 #: Bounded: each entry holds only mmap views plus lazily built kernels.
@@ -143,14 +134,12 @@ def _attach_cached(path: str, expect_version=None) -> ShardSnapshot:
     return snapshot
 
 
-def _run_chunk_mmap(args: "Tuple[str, Sequence] | Tuple[str, Sequence, object]") -> List[Tuple[int, ...]]:
+def _run_chunk_mmap(args: "Tuple[str, Sequence, object]") -> List[Tuple[int, ...]]:
     """Worker-side: attach the memory-mapped snapshot file, answer a chunk.
 
-    Tasks are ``(path, masks)`` or ``(path, masks, expect_version)`` — the
-    two-element form predates version stamping and stays accepted.
+    Tasks are ``(path, masks, expect_version)``.
     """
-    path, masks = args[0], args[1]
-    expect = args[2] if len(args) > 2 else None
+    path, masks, expect = args
     return _attach_cached(path, expect).destroyed_indices_chunk(
         masks, 0, len(masks)
     )
@@ -197,8 +186,8 @@ class WorkerPool:
     memory.  Process pools are bound to the single snapshot their workers
     adopted through the initializer; :meth:`run` refuses any other.  A
     process pool built with ``snapshot=None`` is a **payload pool**: its
-    workers adopt nothing, and each :meth:`run_payload` task carries its
-    own (restricted) snapshot instead.
+    workers adopt nothing, and each :meth:`run_mmap` task names the
+    snapshot file to attach instead.
     """
 
     __slots__ = ("backend", "workers", "_executor", "_mp_pool", "_snapshot", "_closed")
@@ -227,7 +216,7 @@ class WorkerPool:
             start_methods = multiprocessing.get_all_start_methods()
             method = "fork" if "fork" in start_methods else start_methods[0]
             ctx = multiprocessing.get_context(method)
-            if snapshot is None:  # payload pool: tasks carry their snapshot
+            if snapshot is None:  # payload pool: tasks name their snapshot
                 self._mp_pool = ctx.Pool(processes=workers)
             else:
                 self._mp_pool = ctx.Pool(
@@ -310,42 +299,12 @@ class WorkerPool:
             [(list(masks[a:b]), 0, b - a) for a, b in shards],
         )
 
-    def run_payload(
-        self,
-        tasks: Sequence[Tuple[ShardSnapshot, Sequence]],
-        force_python: bool = False,
-    ) -> List[List[Tuple[int, ...]]]:
-        """Answer self-contained ``(snapshot, masks)`` tasks in task order.
-
-        Process pools must be payload pools (built without a snapshot);
-        each task's restricted snapshot travels with the task, which is the
-        whole point on spawn-only hosts.
-        """
-        if self._closed:
-            raise RuntimeError("worker pool is closed")
-        if self._executor is not None:
-            return list(
-                self._executor.map(
-                    lambda task: _timed_chunk(
-                        lambda: task[0].destroyed_indices_chunk(
-                            task[1], 0, len(task[1]), force_python=force_python
-                        )
-                    ),
-                    tasks,
-                )
-            )
-        if self._snapshot is not None:
-            raise RuntimeError(
-                "snapshot-bound pools cannot run payload tasks"
-            )
-        return self._mp_pool.map(_run_chunk_payload, list(tasks))
-
     def run_mmap(
         self,
-        tasks: "Sequence[Tuple[str, Sequence]]",
+        tasks: "Sequence[Tuple[str, Sequence, object]]",
         force_python: bool = False,
     ) -> List[List[Tuple[int, ...]]]:
-        """Answer ``(snapshot file path, masks)`` tasks in task order.
+        """Answer ``(snapshot file path, masks, version)`` tasks in order.
 
         Workers attach the snapshot via ``np.memmap`` (cached per process),
         so only the path and the chunk's masks travel per task — the
@@ -359,7 +318,7 @@ class WorkerPool:
                 self._executor.map(
                     lambda task: _timed_chunk(
                         lambda: _attach_cached(
-                            task[0], task[2] if len(task) > 2 else None
+                            task[0], task[2]
                         ).destroyed_indices_chunk(
                             task[1], 0, len(task[1]), force_python=force_python
                         )
@@ -501,39 +460,31 @@ def close_pools() -> None:
 
 def sharded_destroyed_indices(
     snapshot: ShardSnapshot,
-    masks: Sequence[int],
+    masks: Sequence,
     workers: int,
     backend: str = "auto",
     chunk_size: "int | None" = None,
     force_python: bool = False,
-    ship_segments: "bool | None" = None,
     ship_mmap: bool = False,
 ) -> List[Tuple[int, ...]]:
     """Answer a whole mask vector through sharded execution.
 
     Returns one ascending row-index tuple per mask, in mask order —
     bit-identical to answering the vector serially, for every ``workers``
-    count, ``backend``, ``chunk_size``, and ``ship_segments`` setting
+    count, ``backend``, ``chunk_size``, and ``ship_mmap`` setting
     (property-tested).
 
     ``force_python`` pins the pure-Python chunk kernel; it implies the
     thread/serial backends because worker processes re-detect numpy on
     their own import.
 
-    ``ship_segments`` replaces each shard's task with a segment-restricted
-    snapshot plus the chunk's masks rebased onto it
-    (:meth:`~repro.parallel.shards.ShardSnapshot.restrict`), answered on a
-    snapshot-less payload pool.  ``None`` (the default) enables it exactly
-    when the process backend would otherwise pickle the full snapshot per
-    pool — i.e. on hosts without ``fork``, where the initializer cannot
-    ride copy-on-write.
-
-    ``ship_mmap`` (opt-in) writes the snapshot to its flat memory-mapped
-    file once (:meth:`~repro.parallel.shards.ShardSnapshot.mmap_file`) and
-    ships only the *path* per task; workers attach via ``np.memmap`` on a
+    ``ship_mmap`` writes the snapshot to its flat memory-mapped file once
+    (:meth:`~repro.parallel.shards.ShardSnapshot.mmap_file`) and ships only
+    the *path* per task; workers attach via ``np.memmap`` on a
     snapshot-less payload pool, so no snapshot bytes are pickled at all —
-    neither per pool nor per task.  It takes precedence over
-    ``ship_segments``.
+    neither per pool nor per task.  The process backend turns it on by
+    itself on hosts without ``fork``, where the pool initializer could
+    not share the snapshot copy-on-write.
     """
     total = len(masks)
     if total == 0:
@@ -549,16 +500,8 @@ def sharded_destroyed_indices(
     chosen = resolve_backend(backend, workers, total)
     if force_python and chosen == "process":
         chosen = "thread"
-    ship = (
-        ship_segments
-        if ship_segments is not None
-        else (
-            chosen == "process"
-            and "fork" not in multiprocessing.get_all_start_methods()
-        )
-    )
-    if ship_mmap:
-        ship = False
+    if chosen == "process" and "fork" not in multiprocessing.get_all_start_methods():
+        ship_mmap = True
 
     mmap_tasks: "List[Tuple[str, List, object]] | None" = None
     if ship_mmap:
@@ -569,112 +512,65 @@ def sharded_destroyed_indices(
         mmap_tasks = [
             (path, list(masks[a:b]), snapshot.version) for a, b in shards
         ]
-
-    tasks: "List[Tuple[ShardSnapshot, List]] | None" = None
-    if ship:
-        # Each task is self-contained: a snapshot restricted to the
-        # segments its chunk touches, plus the chunk rebased onto it.
-        # Answers come back in original row indices (restrict() keeps the
-        # row map), so the merge below is oblivious to the restriction.
-        tasks = []
-        for start, stop in shards:
-            sub = snapshot.restrict(snapshot.chunk_segments(masks, start, stop))
-            tasks.append(
-                (sub, [sub.rebase_mask(masks[pos]) for pos in range(start, stop)])
-            )
-    elif not ship_mmap:
+    else:
         snapshot.prepare(force_python=force_python)
 
-    if chosen == "serial" or len(shards) == 1 or workers <= 1:
-        out: List[Tuple[int, ...]] = []
+    def answer_inline() -> List[List[Tuple[int, ...]]]:
         if mmap_tasks is not None:
-            # Attach (once) even in-process, so the serial path exercises
+            # Attach (once) even in-process, so the inline path exercises
             # the same flat-file kernel the workers run.
             attached = _attach_cached(mmap_tasks[0][0], mmap_tasks[0][2])
-            for _path, local, _version in mmap_tasks:
-                out.extend(
-                    attached.destroyed_indices_chunk(
-                        local, 0, len(local), force_python=force_python
-                    )
-                )
-        elif tasks is not None:
-            for sub, local in tasks:
-                out.extend(
-                    sub.destroyed_indices_chunk(
-                        local, 0, len(local), force_python=force_python
-                    )
-                )
-        else:
-            for start, stop in shards:
-                out.extend(
-                    snapshot.destroyed_indices_chunk(
-                        masks, start, stop, force_python=force_python
-                    )
-                )
-        registry = default_registry()
-        registry.histogram("parallel.batch_seconds").observe(
-            time.perf_counter() - batch_started
-        )
-        registry.counter("parallel.batches.serial").inc()
-        return out
-
-    # Persistent pools are shared process-wide, so a concurrent
-    # close_pools() (another engine shutting down) or an LRU eviction can
-    # close the pool between get() and run().  Retry once with a fresh
-    # pool; if pools keep dying, answer serially — always correct, just
-    # unsharded.
-    parts: "List[List[Tuple[int, ...]]] | None" = None
-    for _attempt in range(2):
-        pool = _POOLS.get(
-            chosen,
-            workers,
-            snapshot
-            if chosen == "process" and not ship and not ship_mmap
-            else None,
-        )
-        try:
-            with _tracer.span(
-                "shard_kernel",
-                backend=chosen,
-                workers=workers,
-                shards=len(shards),
-            ):
-                if mmap_tasks is not None:
-                    parts = pool.run_mmap(mmap_tasks, force_python=force_python)
-                elif tasks is not None:
-                    parts = pool.run_payload(tasks, force_python=force_python)
-                else:
-                    parts = pool.run(
-                        snapshot, masks, shards, force_python=force_python
-                    )
-            break
-        except (RuntimeError, ValueError, OSError):
-            if pool.healthy():
-                raise  # a real task error, not a pool-lifecycle race
-            continue
-    if parts is None:
-        if mmap_tasks is not None:
-            attached = _attach_cached(mmap_tasks[0][0], mmap_tasks[0][2])
-            parts = [
+            return [
                 attached.destroyed_indices_chunk(
                     local, 0, len(local), force_python=force_python
                 )
                 for _path, local, _version in mmap_tasks
             ]
-        elif tasks is not None:
-            parts = [
-                sub.destroyed_indices_chunk(
-                    local, 0, len(local), force_python=force_python
-                )
-                for sub, local in tasks
-            ]
-        else:
-            parts = [
-                snapshot.destroyed_indices_chunk(
-                    masks, start, stop, force_python=force_python
-                )
-                for start, stop in shards
-            ]
+        return [
+            snapshot.destroyed_indices_chunk(
+                masks, start, stop, force_python=force_python
+            )
+            for start, stop in shards
+        ]
+
+    parts: "List[List[Tuple[int, ...]]] | None" = None
+    if chosen == "serial" or len(shards) == 1 or workers <= 1:
+        chosen = "serial"
+        parts = answer_inline()
+    else:
+        # Persistent pools are shared process-wide, so a concurrent
+        # close_pools() (another engine shutting down) or an LRU eviction
+        # can close the pool between get() and run().  Retry once with a
+        # fresh pool; if pools keep dying, answer inline — always correct,
+        # just unsharded.
+        for _attempt in range(2):
+            pool = _POOLS.get(
+                chosen,
+                workers,
+                snapshot if chosen == "process" and not ship_mmap else None,
+            )
+            try:
+                with _tracer.span(
+                    "shard_kernel",
+                    backend=chosen,
+                    workers=workers,
+                    shards=len(shards),
+                ):
+                    if mmap_tasks is not None:
+                        parts = pool.run_mmap(
+                            mmap_tasks, force_python=force_python
+                        )
+                    else:
+                        parts = pool.run(
+                            snapshot, masks, shards, force_python=force_python
+                        )
+                break
+            except (RuntimeError, ValueError, OSError):
+                if pool.healthy():
+                    raise  # a real task error, not a pool-lifecycle race
+                continue
+        if parts is None:
+            parts = answer_inline()
 
     merged: List[Tuple[int, ...]] = []
     for part in parts:

@@ -17,8 +17,10 @@ The snapshot answers a chunk two ways, both bit-identical:
   proportional to the number of nonzeros — the same sparsity the serial
   path's inverted source-bit index exploits — but runs in C and releases
   the GIL, so thread shards scale on multicore hosts;
-* **pure Python fallback** (:data:`HAVE_NUMPY` false, or forced in tests):
-  the serial algorithm over the snapshot's integer row indices.
+* **pure Python** (:data:`HAVE_NUMPY` false, or forced in tests): the one
+  survival kernel every serial probe uses
+  (:class:`~repro.provenance.witness_table.SurvivalIndex`), over the
+  snapshot's row indices.
 
 Answers are tuples of ascending row *indices* into :attr:`ShardSnapshot.rows`
 — compact to pickle back from worker processes and directly usable as
@@ -26,10 +28,9 @@ interning keys by the merge step.  Candidates with identical answers within
 a chunk share one tuple object, so duplicate-heavy vectors cost one answer
 materialization per *distinct* answer.
 
-A vector element may be an ``int`` mask or a sequence of source-bit ids
-(:meth:`~repro.provenance.interning.SourceIndex.encode_ids`) — the flat
-form lets callers that hold deletion *sets* skip building big-int masks
-they would only decompose again.
+A vector element is a sequence of source-bit ids
+(:meth:`~repro.provenance.interning.SourceIndex.encode_ids`); an ``int``
+mask is accepted too and decomposed to ids on entry.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from __future__ import annotations
 import os
 import tempfile
 import weakref
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.provenance.interning import iter_bits
-from repro.provenance.segmask import SEGMENT_BITS, SegmentedMask
+from repro.provenance.witness_table import SurvivalIndex, WitnessTable
 
 try:  # numpy + scipy accelerate the chunk kernel; the library runs without.
     import numpy as _np
@@ -64,17 +65,14 @@ def _unlink_quietly(path: str) -> None:
     except OSError:
         pass
 
-#: A candidate in a mask vector: an int mask, a sequence of bit ids, or a
-#: :class:`~repro.provenance.segmask.SegmentedMask`.
-MaskLike = "int | Sequence[int] | SegmentedMask"
+#: A candidate in a mask vector: a sequence of bit ids, or an int mask.
+MaskLike = "Sequence[int] | int"
 
 
 def _mask_bits(value: MaskLike) -> "Sequence[int]":
     """The set bit ids of a vector element, whichever form it arrived in."""
     if isinstance(value, int):
         return tuple(iter_bits(value))
-    if isinstance(value, SegmentedMask):
-        return tuple(value.iter_bits())
     return value
 
 
@@ -125,205 +123,94 @@ class ShardSnapshot:
     """An immutable view of a witness table, answerable without the kernel.
 
     Built once per :class:`~repro.provenance.bitset.BitsetProvenance` (and
-    cached there); rows are frozen into a tuple whose *indices* are the
-    currency of the sharded path.  All derived structures are functions of
-    ``(rows, witness masks)`` alone, so a pickled copy in a worker process
-    answers identically to the original.
+    cached there) around the kernel's CSR
+    :class:`~repro.provenance.witness_table.WitnessTable`; row *indices*
+    into :attr:`rows` are the currency of the sharded path.  All derived
+    structures are functions of the table alone, so a pickled or
+    memory-mapped copy in a worker process answers identically to the
+    original.
     """
 
     __slots__ = (
-        "rows",
         "nbits",
         "version",
-        "_row_offsets",
-        "_wit_masks",
-        "_touched",
+        "_table",
+        "_survival",
         "_np",
-        "_wit_segs",
-        "_row_map",
-        "_seg_rank",
-        "_restricted",
-        "_flat_bits",
         "_mmap_path",
         "_mmap_finalizer",
         "__weakref__",
     )
 
-    def __init__(
-        self,
-        rows: Sequence[Tuple],
-        row_witnesses: Sequence[Sequence[int]],
-        nbits: int,
-        row_map: "Tuple[int, ...] | None" = None,
-        seg_rank: "Dict[int, int] | None" = None,
-        version=None,
-    ):
-        self.rows: Tuple[Tuple, ...] = tuple(rows)
+    def __init__(self, table: WitnessTable, nbits: int, version=None):
         self.nbits = max(1, nbits)
         #: Optional :class:`~repro.versioning.DatabaseVersion` stamp of the
         #: epoch this snapshot was cut at.  ``None`` means unversioned (the
         #: read-only path); attach-time checks only fire when a caller
         #: passes an expectation.
         self.version = version
-        offsets = [0]
-        masks: List[int] = []
-        for wits in row_witnesses:
-            masks.extend(wits)
-            offsets.append(len(masks))
-        #: CSR layout: row i's witness masks are _wit_masks[o[i]:o[i+1]].
-        self._row_offsets = offsets
-        self._wit_masks = masks
-        self._touched: "Dict[int, Tuple[int, ...]] | None" = None
+        self._table = table
+        self._survival: "SurvivalIndex | None" = None
         self._np = None  # lazy numpy artifacts; rebuilt after unpickling
-        self._wit_segs: "List[SegmentedMask] | None" = None
-        #: For restricted snapshots: local row index -> original row index
-        #: (answers are translated back, so callers never see local ids).
-        self._row_map = row_map
-        #: For restricted snapshots: original segment id -> compact rank.
-        self._seg_rank = seg_rank
-        #: Cache of segment-set -> restricted snapshot (parent side only).
-        self._restricted: "Dict[FrozenSet[int], ShardSnapshot] | None" = None
-        #: Flat-file CSR bit arrays (wit_offsets, bit_ids) when attached via
-        #: :meth:`attach_file`; int witness masks materialize lazily from it.
-        self._flat_bits = None
         self._mmap_path: "str | None" = None
         self._mmap_finalizer = None
-
-    @classmethod
-    def from_witnesses(
-        cls, witnesses: "Dict[Tuple, Tuple[int, ...]]", nbits: int, version=None
-    ) -> "ShardSnapshot":
-        """Snapshot a kernel's row → witness-mask table (insertion order)."""
-        return cls(list(witnesses), list(witnesses.values()), nbits, version=version)
 
     @classmethod
     def from_witness_table(cls, table, nbits: int, version=None) -> "ShardSnapshot":
         """Snapshot a CSR ``WitnessTable`` — zero-copy adoption.
 
         The table's ``row_offsets``/``wit_offsets``/``bit_ids`` arrays *are*
-        this snapshot's internal (and on-disk) layout, so they are adopted
-        as the flat form directly: the numpy chunk kernel, the segmented
-        view, :meth:`write_file`, and pickling all run from the arrays, and
-        int witness masks only materialize if the pure-Python fallback asks
-        for them.
+        this snapshot's internal (and on-disk) layout: both chunk kernels,
+        :meth:`write_file`, and pickling all run from them.
         """
-        snap = cls.__new__(cls)
-        snap.rows = tuple(table.rows)
-        snap.nbits = max(1, nbits)
-        snap.version = version
-        snap._row_offsets = table.row_offsets
-        snap._wit_masks = None  # lazy: _masks() rebuilds from _flat_bits
-        snap._flat_bits = (table.wit_offsets, table.bit_ids)
-        snap._touched = None
-        snap._np = None
-        snap._wit_segs = None
-        snap._row_map = None
-        snap._seg_rank = None
-        snap._restricted = None
-        snap._mmap_path = None
-        snap._mmap_finalizer = None
-        return snap
+        return cls(table, nbits, version)
+
+    @property
+    def rows(self) -> Tuple[Tuple, ...]:
+        """The view rows, in the order answers index them."""
+        return self._table.rows
 
     def __getstate__(self):
-        if self._wit_masks is None and self._flat_bits is not None:
-            # Ship the CSR arrays themselves: no big-int masks are built on
-            # either side of the pickle (lists travel representation-
-            # portably between numpy and pure-Python processes).
-            flat = (
-                [int(v) for v in self._flat_bits[0]],
-                [int(v) for v in self._flat_bits[1]],
-            )
-            masks = None
-        else:
-            flat = None
-            masks = self._masks()
-        return (
-            self.rows,
-            self.nbits,
-            [int(v) for v in self._row_offsets],
-            masks,
-            self._row_map,
-            flat,
-            self.version,
-        )
+        # Ship the CSR arrays as lists: they travel representation-portably
+        # between numpy and pure-Python processes.
+        return (self.rows, self.nbits, *self._table.as_lists(), self.version)
 
     def __setstate__(self, state):
-        version = None
-        if len(state) == 5:  # pickles from before the CSR flat form
-            rows, nbits, offsets, masks, row_map = state
-            flat = None
-        elif len(state) == 6:  # pickles from before version stamping
-            rows, nbits, offsets, masks, row_map, flat = state
-        else:
-            rows, nbits, offsets, masks, row_map, flat, version = state
-        self.rows = rows
-        self.nbits = nbits
-        self.version = version
-        self._row_offsets = offsets
-        self._wit_masks = masks
-        self._row_map = row_map
-        self._flat_bits = None if flat is None else tuple(flat)
-        self._touched = None
-        self._np = None
-        self._wit_segs = None
-        self._seg_rank = None
-        self._restricted = None
-        self._mmap_path = None
-        self._mmap_finalizer = None
+        rows, nbits, row_offsets, wit_offsets, bit_ids, version = state
+        self.__init__(
+            WitnessTable(rows, row_offsets, wit_offsets, bit_ids), nbits, version
+        )
 
     # ------------------------------------------------------------------
     # Flat-file (memory-mapped) form
     # ------------------------------------------------------------------
-    def _masks(self) -> "List[int]":
-        """The int witness masks, materialized from flat arrays on demand."""
-        if self._wit_masks is None:
-            wit_offsets, bit_ids = self._flat_bits
-            masks: List[int] = []
-            for w in range(len(wit_offsets) - 1):
-                mask = 0
-                for bit in bit_ids[wit_offsets[w] : wit_offsets[w + 1]]:
-                    mask |= 1 << int(bit)
-                masks.append(mask)
-            self._wit_masks = masks
-        return self._wit_masks
-
     def write_file(self, path: str) -> None:
         """Serialize to the flat container of :mod:`repro.columnar.flatfile`.
 
-        The layout is exactly the CSR the numpy kernel consumes —
+        The layout is exactly the CSR both chunk kernels consume —
         ``row_offsets`` (row → witness span), ``wit_offsets`` (witness →
-        bit span), and ``bit_ids`` — so :meth:`attach_file` feeds the
-        incidence matrices straight from the memory-mapped arrays without
-        rebuilding big-int masks.
+        bit span), and ``bit_ids`` — so :meth:`attach_file` feeds them
+        straight from the memory-mapped arrays.
         """
         from repro.columnar.flatfile import write_flat
 
-        if self._wit_masks is None and self._flat_bits is not None:
-            # CSR-backed snapshot: the arrays are already the on-disk
-            # layout — write them as-is, no int-mask re-encoding.
-            wit_offsets, bit_ids = self._flat_bits
-        else:
-            masks = self._masks()
-            wit_offsets = [0]
-            bit_ids = []
-            for mask in masks:
-                bit_ids.extend(iter_bits(mask))
-                wit_offsets.append(len(bit_ids))
-        arrays = {
-            "row_offsets": self._row_offsets,
-            "wit_offsets": wit_offsets,
-            "bit_ids": bit_ids,
-        }
-        if self._row_map is not None:
-            arrays["row_map"] = list(self._row_map)
+        table = self._table
         meta = {
             "kind": "shard-snapshot",
             "nbits": self.nbits,
-            "nrows": len(self.rows),
+            "nrows": len(table),
         }
         if self.version is not None:
             meta["version"] = [self.version.name, self.version.epoch]
-        write_flat(path, meta, arrays)
+        write_flat(
+            path,
+            meta,
+            {
+                "row_offsets": table.row_offsets,
+                "wit_offsets": table.wit_offsets,
+                "bit_ids": table.bit_ids,
+            },
+        )
 
     @classmethod
     def attach_file(cls, path: str, expect_version=None) -> "ShardSnapshot":
@@ -333,7 +220,7 @@ class ShardSnapshot:
         OS pages them in on first touch and shares the clean pages between
         every worker attached to the same file.  Row content is never
         shipped — answers are row *indices* — so :attr:`rows` holds
-        placeholders, exactly like a segment-restricted snapshot.
+        placeholders.
 
         ``expect_version`` pins the attachment to one database epoch: when
         the file's stamp (absent counts as mismatched) differs, the attach
@@ -358,22 +245,14 @@ class ShardSnapshot:
                 f"snapshot {path!r} is stamped {version!r}, "
                 f"expected {expect_version!r}"
             )
-        snap = cls.__new__(cls)
-        snap.rows = (None,) * meta["nrows"]
-        snap.nbits = meta["nbits"]
-        snap.version = version
-        snap._row_offsets = arrays["row_offsets"]
-        snap._wit_masks = None  # lazy: _masks() rebuilds from _flat_bits
-        snap._flat_bits = (arrays["wit_offsets"], arrays["bit_ids"])
-        row_map = arrays.get("row_map")
-        snap._row_map = None if row_map is None else tuple(int(i) for i in row_map)
-        snap._touched = None
-        snap._np = None
-        snap._wit_segs = None
-        snap._seg_rank = None
-        snap._restricted = None
+        table = WitnessTable(
+            (None,) * meta["nrows"],
+            arrays["row_offsets"],
+            arrays["wit_offsets"],
+            arrays["bit_ids"],
+        )
+        snap = cls(table, meta["nbits"], version)
         snap._mmap_path = path
-        snap._mmap_finalizer = None
         return snap
 
     def mmap_file(self) -> str:
@@ -394,181 +273,30 @@ class ShardSnapshot:
     # ------------------------------------------------------------------
     # Derived structures
     # ------------------------------------------------------------------
-    def _touched_index(self) -> Dict[int, Tuple[int, ...]]:
-        """source bit → ascending indices of rows whose universe has it."""
-        if self._touched is None:
-            touched: Dict[int, List[int]] = {}
-            offsets, masks = self._row_offsets, self._masks()
-            for i in range(len(self.rows)):
-                universe = 0
-                for mask in masks[offsets[i] : offsets[i + 1]]:
-                    universe |= mask
-                for bit in iter_bits(universe):
-                    touched.setdefault(bit, []).append(i)
-            self._touched = {bit: tuple(ids) for bit, ids in touched.items()}
-        return self._touched
-
-    def _witness_segments(self) -> "List[SegmentedMask]":
-        """Each witness mask in segmented form, aligned with the CSR layout."""
-        if self._wit_segs is None:
-            if self._wit_masks is None and self._flat_bits is not None:
-                from repro.provenance.segmask import segmented_from_bit_runs
-
-                self._wit_segs = segmented_from_bit_runs(*self._flat_bits)
-            else:
-                from_int = SegmentedMask.from_int
-                self._wit_segs = [from_int(mask) for mask in self._masks()]
-        return self._wit_segs
-
-    # ------------------------------------------------------------------
-    # Segment restriction (what ships to spawned workers)
-    # ------------------------------------------------------------------
-    def chunk_segments(
-        self, masks: Sequence[MaskLike], start: int, stop: int
-    ) -> "FrozenSet[int]":
-        """The segment ids ``masks[start:stop]`` touch, in any element form."""
-        segs: set = set()
-        for pos in range(start, stop):
-            value = masks[pos]
-            if isinstance(value, SegmentedMask):
-                segs.update(value.segment_ids())
-            else:
-                for bit in _mask_bits(value):
-                    segs.add(bit // SEGMENT_BITS)
-        return frozenset(segs)
-
-    def restrict(self, segments: "Iterable[int]") -> "ShardSnapshot":
-        """A snapshot answering identically for candidates confined to
-        ``segments``, rebased onto a compact bit space.
-
-        Soundness: a candidate whose bits all lie inside ``segments`` can
-        only intersect a witness through those segments.  A row with any
-        witness whose restriction to ``segments`` is empty therefore
-        survives *every* such candidate (that witness can never be hit), so
-        the row is dropped entirely; the kept rows' witnesses are rebased
-        to ``rank(segment) * SEGMENT_BITS + offset``, making the restricted
-        masks small ints regardless of how high the original bits sit.
-        Answers from :meth:`destroyed_indices_chunk` are translated back to
-        original row indices through the retained ``row_map``, so the
-        merge step cannot tell a restricted snapshot from the full one.
-
-        Restrictions are cached per segment set (bounded); the restricted
-        snapshot's pickle is proportional to the chunk's touched segments,
-        not the universe — the point of shipping one to a spawned worker.
-        """
-        key = frozenset(segments)
-        cache = self._restricted
-        if cache is None:
-            cache = self._restricted = {}
-        snap = cache.get(key)
-        if snap is not None:
-            return snap
-        rank = {seg: i for i, seg in enumerate(sorted(key))}
-        wit_segs = self._witness_segments()
-        offsets = self._row_offsets
-        row_map: List[int] = []
-        row_wits: List[List[int]] = []
-        for i in range(len(self.rows)):
-            wits: List[int] = []
-            droppable = False
-            for w in range(offsets[i], offsets[i + 1]):
-                local = 0
-                for seg, word in wit_segs[w].items():
-                    j = rank.get(seg)
-                    if j is not None:
-                        local |= word << (j * SEGMENT_BITS)
-                if not local:
-                    droppable = True  # an unhittable witness: always survives
-                    break
-                wits.append(local)
-            if not droppable:
-                row_map.append(i)
-                row_wits.append(wits)
-        snap = ShardSnapshot(
-            (None,) * len(row_map),  # row content is never read here
-            row_wits,
-            len(rank) * SEGMENT_BITS,
-            row_map=tuple(row_map),
-            seg_rank=rank,
-            version=self.version,
-        )
-        if len(cache) >= 64:
-            cache.clear()
-        cache[key] = snap
-        return snap
-
-    def rebase_mask(self, value: MaskLike) -> Tuple[int, ...]:
-        """A candidate's bit ids in this restricted snapshot's local space.
-
-        Only valid on snapshots produced by :meth:`restrict`; bits outside
-        the restriction's segments are dropped (they can hit nothing here).
-        """
-        rank = self._seg_rank
-        if rank is None:
-            raise ValueError("rebase_mask needs a restricted snapshot")
-        out: List[int] = []
-        if isinstance(value, SegmentedMask):
-            for seg, word in sorted(value.items()):
-                j = rank.get(seg)
-                if j is None:
-                    continue
-                base = j * SEGMENT_BITS
-                for offset in iter_bits(word):
-                    out.append(base + offset)
-        else:
-            for bit in _mask_bits(value):
-                j = rank.get(bit // SEGMENT_BITS)
-                if j is not None:
-                    out.append(j * SEGMENT_BITS + bit % SEGMENT_BITS)
-        out.sort()
-        return tuple(out)
+    def _survival_index(self) -> SurvivalIndex:
+        """The pure-Python kernel's state; slots are row indices here."""
+        if self._survival is None:
+            self._survival = SurvivalIndex.build(self._table)
+        return self._survival
 
     def _numpy_tables(self):
         """(B, R, row_nwit): witness×bit and row×witness incidence matrices."""
-        if self._np is None and self._flat_bits is not None:
-            # Attached snapshot: the flat arrays *are* the CSR layout, so the
-            # incidence matrices assemble directly from the memory-mapped
-            # file with no big-int masks in between.
-            wit_offsets = _np.asarray(self._flat_bits[0], dtype=_np.int64)
-            bit_ids = _np.asarray(self._flat_bits[1], dtype=_np.int64)
-            row_offsets = _np.asarray(self._row_offsets, dtype=_np.int64)
+        if self._np is None:
+            table = self._table
+            wit_offsets = _np.asarray(table.wit_offsets, dtype=_np.int64)
+            bit_ids = _np.asarray(table.bit_ids, dtype=_np.int64)
+            row_nwit = _np.diff(_np.asarray(table.row_offsets, dtype=_np.int64))
             nwit = len(wit_offsets) - 1
             wit_ids = _np.repeat(_np.arange(nwit), _np.diff(wit_offsets))
-            wit_row = _np.repeat(
-                _np.arange(len(self.rows)), _np.diff(row_offsets)
-            )
+            wit_row = _np.repeat(_np.arange(len(table)), row_nwit)
             B = _sparse.csr_matrix(
                 (_np.ones(bit_ids.size, dtype=_np.int32), (wit_ids, bit_ids)),
                 shape=(nwit, self.nbits),
             )
             R = _sparse.csr_matrix(
                 (_np.ones(nwit, dtype=_np.int32), (wit_row, _np.arange(nwit))),
-                shape=(len(self.rows), nwit),
+                shape=(len(table), nwit),
             )
-            row_nwit = _np.diff(row_offsets)
-            self._np = (B, R, row_nwit.astype(_np.int32))
-        if self._np is None:
-            offsets, masks = self._row_offsets, self._masks()
-            wit_ids: List[int] = []
-            bit_ids: List[int] = []
-            wit_row: List[int] = []
-            for i in range(len(self.rows)):
-                for mask in masks[offsets[i] : offsets[i + 1]]:
-                    wit = len(wit_row)
-                    for bit in iter_bits(mask):
-                        wit_ids.append(wit)
-                        bit_ids.append(bit)
-                    wit_row.append(i)
-            nwit = len(wit_row)
-            B = _sparse.csr_matrix(
-                (_np.ones(len(wit_ids), dtype=_np.int32), (wit_ids, bit_ids)),
-                shape=(nwit, self.nbits),
-            )
-            R = _sparse.csr_matrix(
-                (_np.ones(nwit, dtype=_np.int32), (wit_row, _np.arange(nwit))),
-                shape=(len(self.rows), nwit),
-            )
-            row_nwit = _np.diff(_np.asarray(self._row_offsets, dtype=_np.int64))
             self._np = (B, R, row_nwit.astype(_np.int32))
         return self._np
 
@@ -582,8 +310,7 @@ class ShardSnapshot:
         if HAVE_NUMPY and not force_python:
             self._numpy_tables()
         else:
-            self._touched_index()
-            self._witness_segments()
+            self._survival_index()
 
     # ------------------------------------------------------------------
     # Chunk answering
@@ -598,76 +325,24 @@ class ShardSnapshot:
         """Per-candidate destroyed row indices for ``masks[start:stop]``.
 
         Each answer is the ascending tuple of indices (into :attr:`rows`)
-        of the rows whose every witness intersects the candidate — exactly
-        :meth:`BitsetProvenance._destroyed`, re-expressed over indices.
-        Vector elements may be int masks or bit-id sequences.  Candidates
-        with identical answers share one tuple object.  ``force_python``
-        pins the fallback kernel (the property tests run both against the
-        serial oracle).
+        of the rows whose every witness intersects the candidate.  Vector
+        elements may be bit-id sequences or int masks.  Candidates with
+        identical answers share one tuple object.  ``force_python`` pins
+        the pure-Python kernel (the property tests run both kernels
+        against the oracle).
         """
         if HAVE_NUMPY and not force_python:
-            out = self._chunk_numpy(masks, start, stop)
-        else:
-            out = self._chunk_python(masks, start, stop)
-        if self._row_map is not None:
-            rm = self._row_map
-            memo: Dict[Tuple[int, ...], Tuple[int, ...]] = {_EMPTY: _EMPTY}
-            for j, ans in enumerate(out):
-                translated = memo.get(ans)
-                if translated is None:
-                    # row_map is ascending, so ascending order is preserved.
-                    translated = tuple(map(rm.__getitem__, ans))
-                    memo[ans] = translated
-                out[j] = translated
-        return out
+            return self._chunk_numpy(masks, start, stop)
+        return self._chunk_python(masks, start, stop)
 
     def _chunk_python(
         self, masks: Sequence[MaskLike], start: int, stop: int
     ) -> List[Tuple[int, ...]]:
-        touched = self._touched_index()
-        offsets, wit_masks = self._row_offsets, self._masks()
-        interned: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        destroyed = self._survival_index().destroyed
+        interned: Dict[Tuple[int, ...], Tuple[int, ...]] = {_EMPTY: _EMPTY}
         out: List[Tuple[int, ...]] = []
         for pos in range(start, stop):
-            value = masks[pos]
-            segmented = isinstance(value, SegmentedMask)
-            if segmented:
-                mask = value
-                bits = value.iter_bits()
-                seg_wits = self._witness_segments()
-            elif isinstance(value, int):
-                mask = value
-                bits = iter_bits(value)
-            else:
-                mask = 0
-                for bit in value:
-                    mask |= 1 << bit
-                bits = value
-            candidates: set = set()
-            for bit in bits:
-                rows = touched.get(bit)
-                if rows:
-                    candidates.update(rows)
-            destroyed: List[int] = []
-            if segmented:
-                for i in candidates:
-                    for w in range(offsets[i], offsets[i + 1]):
-                        if seg_wits[w].isdisjoint(mask):
-                            break
-                    else:
-                        destroyed.append(i)
-            else:
-                for i in candidates:
-                    for wmask in wit_masks[offsets[i] : offsets[i + 1]]:
-                        if not (wmask & mask):
-                            break
-                    else:
-                        destroyed.append(i)
-            if not destroyed:
-                out.append(_EMPTY)
-                continue
-            destroyed.sort()
-            answer = tuple(destroyed)
+            answer = tuple(sorted(destroyed(_mask_bits(masks[pos]))))
             out.append(interned.setdefault(answer, answer))
         return out
 
@@ -679,41 +354,17 @@ class ShardSnapshot:
             return [_EMPTY] * max(m, 0)
         B, R, row_nwit = self._numpy_tables()
         nbits = self.nbits
-        # Encode the chunk's masks as a bit × candidate incidence matrix.
-        # Bits past nbits belong to no witness, so dropping them is sound.
-        # Int masks that are dense relative to the m × nbits bit matrix are
-        # unpacked in one C call; everything else extracts bits per mask.
-        ints_only = all(
-            isinstance(masks[pos], int) for pos in range(start, stop)
-        )
-        dense = False
-        if ints_only:
-            total_bits = sum(masks[pos].bit_count() for pos in range(start, stop))
-            dense = total_bits * 32 >= m * nbits
-        if dense:
-            width = max(
-                nbits, max(masks[pos].bit_length() for pos in range(start, stop))
-            )
-            nbytes = (width + 7) // 8
-            buf = b"".join(
-                masks[pos].to_bytes(nbytes, "little") for pos in range(start, stop)
-            )
-            bits = _np.unpackbits(
-                _np.frombuffer(buf, dtype=_np.uint8).reshape(m, nbytes),
-                axis=1,
-                bitorder="little",
-            )[:, :nbits]
-            cand_ids, bit_ids = _np.nonzero(bits)
-        else:
-            bit_list: List[int] = []
-            cand_list: List[int] = []
-            for pos in range(start, stop):
-                for bit in _mask_bits(masks[pos]):
-                    if bit < nbits:
-                        bit_list.append(bit)
-                        cand_list.append(pos - start)
-            bit_ids = _np.asarray(bit_list, dtype=_np.int64)
-            cand_ids = _np.asarray(cand_list, dtype=_np.int64)
+        # Encode the chunk as a bit × candidate incidence matrix.  Bits
+        # past nbits belong to no witness, so dropping them is sound.
+        bit_list: List[int] = []
+        cand_list: List[int] = []
+        for pos in range(start, stop):
+            for bit in _mask_bits(masks[pos]):
+                if bit < nbits:
+                    bit_list.append(bit)
+                    cand_list.append(pos - start)
+        bit_ids = _np.asarray(bit_list, dtype=_np.int64)
+        cand_ids = _np.asarray(cand_list, dtype=_np.int64)
         D = _sparse.csc_matrix(
             (_np.ones(cand_ids.size, dtype=_np.int32), (bit_ids, cand_ids)),
             shape=(nbits, m),
@@ -744,15 +395,10 @@ class ShardSnapshot:
         return out
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._table)
 
     def __repr__(self) -> str:
-        witnesses = (
-            len(self._wit_masks)
-            if self._wit_masks is not None
-            else len(self._flat_bits[0]) - 1
-        )
         return (
-            f"ShardSnapshot({len(self.rows)} rows, "
-            f"{witnesses} witnesses, {self.nbits} bits)"
+            f"ShardSnapshot({len(self._table)} rows, "
+            f"{self._table.witness_count} witnesses, {self.nbits} bits)"
         )

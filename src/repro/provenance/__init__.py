@@ -24,13 +24,7 @@ from repro.provenance.locations import (
     validate_location,
 )
 from repro.provenance.interning import SourceIndex, iter_bits
-from repro.provenance.segmask import (
-    SEGMENT_BITS,
-    SegmentedMask,
-    popcount,
-    segmented_from_bit_runs,
-)
-from repro.provenance.witness_table import WitnessTable
+from repro.provenance.witness_table import SurvivalIndex, WitnessTable
 from repro.provenance.bitset import (
     BitsetProvenance,
     bitset_why_provenance,
@@ -73,10 +67,7 @@ __all__ = [
     "validate_location",
     "SourceIndex",
     "iter_bits",
-    "SEGMENT_BITS",
-    "SegmentedMask",
-    "popcount",
-    "segmented_from_bit_runs",
+    "SurvivalIndex",
     "WitnessTable",
     "BitsetProvenance",
     "bitset_why_provenance",

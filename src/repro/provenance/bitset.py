@@ -10,14 +10,19 @@ representation changes:
 * absorption ``a ⊆ b`` is ``a & b == a`` — one machine-word-per-limb AND
   instead of a hashed frozenset comparison;
 * the join product of two monomials is ``lm | rm`` on ints;
-* survival of a row under a deletion mask ``d`` is ``any(m & d == 0)``;
-* side effects use an inverted index from source bit to the view rows whose
-  witness universe contains it, so candidate evaluation only touches rows
-  the deletion can actually reach instead of scanning the whole view;
+* the witnesses are *stored* once, as the CSR
+  :class:`~repro.provenance.witness_table.WitnessTable`; int masks are only
+  a decode view of it;
+* a deletion is the ascending tuple of its interned ids
+  (:meth:`BitsetProvenance.encode_deletions_auto`), and survival — a row
+  survives iff some witness is disjoint from the deletion — is answered by
+  the one survival kernel, :class:`~repro.provenance.witness_table.
+  SurvivalIndex`, whose inverted index from source bit to rows means a
+  candidate only touches the rows it can actually reach;
 * batched hypothetical deletion (:meth:`BitsetProvenance.batch_destroyed`,
   :meth:`BitsetProvenance.batch_side_effects_mask`,
   :meth:`BitsetProvenance.batch_surviving_rows`) answers "which view rows
-  survive deleting mask ``m``" for whole vectors of candidate masks without
+  survive deleting ``T``" for whole vectors of candidates without
   re-running the query — the vector-level API under
   :class:`repro.deletion.hypothetical.HypotheticalDeletions`;
 * with ``workers > 1`` the batch methods run **sharded**
@@ -35,8 +40,7 @@ query once through the shared plan memo and executes the plan's
 witness-annotated semantics, so schema resolution and column positions are
 never recomputed per call.  Decoding back to the public
 ``frozenset``-of-``frozenset`` representation happens only at the API
-boundary (:meth:`BitsetProvenance.decode_witnesses`), so every intermediate
-step runs on ints.
+boundary (:meth:`BitsetProvenance.decode_witnesses`).
 """
 
 from __future__ import annotations
@@ -54,8 +58,7 @@ from repro.parallel import ShardSnapshot, sharded_destroyed_indices
 from repro.provenance.cache import cached_plan
 from repro.provenance.interning import SourceIndex, iter_bits
 from repro.provenance.locations import SourceTuple
-from repro.provenance.segmask import SEGMENT_BITS, SegmentedMask, popcount
-from repro.provenance.witness_table import WitnessTable
+from repro.provenance.witness_table import SurvivalIndex, WitnessTable
 
 __all__ = [
     "Mask",
@@ -68,10 +71,10 @@ __all__ = [
 #: A monomial as an integer bitmask over interned source-tuple ids.
 Mask = int
 
-#: A deletion, in any form the survival APIs take: a whole-universe int
-#: mask, a sequence of source-bit ids, or a :class:`SegmentedMask` —
-#: answers are bit-identical across the three (property-tested).
-DeletionLike = "int | Sequence[int] | SegmentedMask"
+#: A deletion, in either form the survival APIs take: a sequence of
+#: interned source ids (what :meth:`BitsetProvenance.encode_deletions_auto`
+#: returns) or a whole-universe int mask, converted to ids on entry.
+DeletionLike = "Sequence[int] | int"
 
 #: A tuple's witness basis: its minimal monomials, as masks.
 MaskWitnesses = Tuple[int, ...]
@@ -81,11 +84,10 @@ MaskWitnesses = Tuple[int, ...]
 #: the whole serial scan, and there is nothing to parallelize anyway.
 SHARD_MIN_BATCH = 128
 
-#: ``encode_deletions_auto`` stays on plain int masks until the interned
-#: universe spans more than this many segments: at or below it the masks
-#: are at most a few machine words, so segmented per-segment dict traffic
-#: costs more than it saves.
-SEGMENTED_AUTO_MIN_SEGMENTS = 4
+#: A kernel whose survival index has this many times more slots than the
+#: view has rows stops patching the index across writes and rebuilds it
+#: lazily instead, so rows that come and go cannot grow it without bound.
+_SLOT_SLACK = 2
 
 
 def minimize_masks(masks: "Set[int] | Iterable[int]") -> MaskWitnesses:
@@ -106,7 +108,7 @@ def minimize_masks(masks: "Set[int] | Iterable[int]") -> MaskWitnesses:
     # The mask value breaks popcount ties so the output tuple is a pure
     # function of the mask *set* — executors that build the same witness
     # sets in a different order (tuple vs columnar) emit identical tuples.
-    ordered = sorted(masks, key=lambda mask: (popcount(mask), mask))
+    ordered = sorted(masks, key=lambda mask: (mask.bit_count(), mask))
     kept: List[int] = []
     if len(ordered) <= 16:
         for mask in ordered:
@@ -150,31 +152,6 @@ def _relation_occurrences(query: Query) -> Dict[str, int]:
     return counts
 
 
-def _union_segments(masks: "Iterable[SegmentedMask]") -> Dict[int, int]:
-    """segment index -> OR of that segment's words across ``masks``."""
-    union: Dict[int, int] = {}
-    for sm in masks:
-        for seg, word in sm._segs.items():
-            union[seg] = union.get(seg, 0) | word
-    return union
-
-
-def _touched_add(touched: dict, bit: int, row: Row) -> None:
-    rows = touched.get(bit)
-    touched[bit] = rows + (row,) if rows else (row,)
-
-
-def _touched_discard(touched: dict, bit: int, row: Row) -> None:
-    rows = touched.get(bit)
-    if rows is None:
-        return
-    kept = tuple(r for r in rows if r != row)
-    if kept:
-        touched[bit] = kept
-    else:
-        del touched[bit]
-
-
 def _join_nonlinear_names(query: Query) -> FrozenSet[str]:
     """Relation names the query is *not* linear in: self-joined names.
 
@@ -214,10 +191,8 @@ class BitsetProvenance:
         "_schema",
         "_view_name",
         "_index",
-        "_witnesses",
         "_table",
-        "_seg_witnesses",
-        "_touched",
+        "_survival",
         "_snapshot",
         "build_stats",
     )
@@ -225,44 +200,26 @@ class BitsetProvenance:
     def __init__(
         self,
         schema: Schema,
-        witnesses: "Dict[Row, MaskWitnesses] | WitnessTable",
+        witnesses: "WitnessTable | Dict[Row, MaskWitnesses]",
         index: SourceIndex,
         view_name: str = DEFAULT_VIEW_NAME,
     ):
         self._schema = schema
-        if isinstance(witnesses, WitnessTable):
-            # CSR arrays are the source of truth; the dict-of-int-masks view
-            # is materialized lazily (it is the bit-identical oracle form).
-            self._table: "WitnessTable | None" = witnesses
-            self._witnesses: "Dict[Row, MaskWitnesses] | None" = None
-        else:
-            self._table = None
-            self._witnesses = witnesses
+        if not isinstance(witnesses, WitnessTable):
+            witnesses = WitnessTable.from_masks(witnesses)
+        #: The CSR arrays: the one stored form of the witnesses.
+        self._table: WitnessTable = witnesses
         self._index = index
         self._view_name = view_name
         #: Wall-time/shape counters of the annotated build that produced
         #: this kernel (set by :func:`bitset_why_provenance`; None when the
         #: kernel was constructed directly).
         self.build_stats: "Dict[str, object] | None" = None
-        #: Lazy inverted index: source bit id -> rows whose universe has it.
-        self._touched: "Dict[int, Tuple[Row, ...]] | None" = None
-        #: Lazy segmented view of the witness table (built on first
-        #: SegmentedMask query; the int/CSR table stays the source of truth).
-        self._seg_witnesses: "Dict[Row, Tuple[SegmentedMask, ...]] | None" = None
+        #: Lazy survival-kernel state (built on the first probe, carried
+        #: across :meth:`apply_delta` once warm).
+        self._survival: "SurvivalIndex | None" = None
         #: Lazy immutable snapshot backing the sharded batch path.
         self._snapshot: "ShardSnapshot | None" = None
-
-    def _mask_witnesses(self) -> Dict[Row, MaskWitnesses]:
-        """The ``row -> mask tuple`` table (materialized from CSR on demand)."""
-        if self._witnesses is None:
-            self._witnesses = self._table.to_masks()
-        return self._witnesses
-
-    def _view_rows(self):
-        """The view's rows, in table order, without materializing masks."""
-        if self._witnesses is not None:
-            return self._witnesses  # dict iteration yields rows
-        return self._table.rows
 
     # ------------------------------------------------------------------
     # Structure
@@ -285,35 +242,37 @@ class BitsetProvenance:
     @property
     def rows(self) -> Tuple[Row, ...]:
         """All view rows, deterministically ordered."""
-        return tuple(sorted(self._view_rows(), key=repr))
+        return tuple(sorted(self._table.rows, key=repr))
 
     def relation(self) -> Relation:
         """The view as a plain relation (provenance dropped)."""
-        return Relation(self._view_name, self._schema, self._view_rows())
+        return Relation(self._view_name, self._schema, self._table.rows)
 
     def __len__(self) -> int:
-        if self._witnesses is not None:
-            return len(self._witnesses)
         return len(self._table)
 
     def __contains__(self, row: object) -> bool:
-        if self._witnesses is not None:
-            return row in self._witnesses
         return self._table.contains(row)
 
     # ------------------------------------------------------------------
-    # Mask-level queries
+    # Witness-level queries
     # ------------------------------------------------------------------
+    def _witness_bits(self, row: Row) -> Tuple[Tuple[int, ...], ...]:
+        """``row``'s witnesses as bit-id tuples; InfeasibleError if absent."""
+        row = tuple(row)
+        wits = self._table.bits_of(row)
+        if wits is None:
+            raise InfeasibleError(f"row {row!r} is not in the view")
+        return wits
+
     def witness_masks(self, row: Row) -> MaskWitnesses:
         """The minimal witnesses of ``row`` as masks.
 
         Raises :class:`InfeasibleError` if the row is not in the view.
         """
-        row = tuple(row)
-        try:
-            return self._mask_witnesses()[row]
-        except KeyError:
-            raise InfeasibleError(f"row {row!r} is not in the view") from None
+        return tuple(
+            sum(1 << bit for bit in wit) for wit in self._witness_bits(row)
+        )
 
     def universe_mask(self, row: Row) -> int:
         """OR of all witness masks of ``row``."""
@@ -322,209 +281,80 @@ class BitsetProvenance:
             universe |= mask
         return universe
 
-    def encode_deletions(self, deletions: Iterable[SourceTuple]) -> int:
-        """A deletion set as a mask (unknown tuples hit nothing, so skipped)."""
-        return self._index.encode(deletions)
-
-    def encode_deletions_segmented(
-        self, deletions: Iterable[SourceTuple]
-    ) -> SegmentedMask:
-        """A deletion set as a :class:`SegmentedMask` (same skipped-tuple
-        semantics as :meth:`encode_deletions`, identical answers).
-
-        The encoding the deletion solvers and the serving engine use on
-        large universes: encoding and every downstream survival test then
-        cost the deletion's touched segments, not the interned universe.
-        """
-        return self._index.encode_segmented(deletions)
-
     def encode_deletions_auto(
         self, deletions: Iterable[SourceTuple]
-    ) -> "int | SegmentedMask":
-        """The cheaper of the two deletion encodings for this universe.
+    ) -> Tuple[int, ...]:
+        """A deletion set as the ascending tuple of its interned ids.
 
-        Both forms give identical answers everywhere a mask is accepted;
-        which one runs faster depends only on how many segments the
-        interned universe spans.  Small universes favour plain int masks
-        (CPython's word-at-a-time big-int ops beat per-segment dict
-        traffic), while large sparse universes flip — whole-universe ints
-        cost the universe per AND, segmented masks cost the touched
-        segments.  The deletion solvers and the serving engine encode
-        through this so compact databases keep int-mask speed and wide
-        ones get the segmented win.
+        The one deletion encoding every survival API runs on.  Tuples the
+        index has never seen are skipped: they appear in no witness, so
+        they cannot change any answer.
         """
-        if len(self._index) > SEGMENT_BITS * SEGMENTED_AUTO_MIN_SEGMENTS:
-            return self._index.encode_segmented(deletions)
-        return self._index.encode(deletions)
+        return self._index.encode_ids(deletions)
 
-    def survives_mask(
-        self, row: Row, deletion_mask: "int | SegmentedMask"
-    ) -> bool:
-        """True if ``row`` keeps a witness disjoint from ``deletion_mask``."""
-        if isinstance(deletion_mask, SegmentedMask):
-            row = tuple(row)
-            try:
-                seg_wits = self._segmented_witnesses()[row]
-            except KeyError:
-                raise InfeasibleError(f"row {row!r} is not in the view") from None
-            return any(m.isdisjoint(deletion_mask) for m in seg_wits)
-        for mask in self.witness_masks(row):
-            if not (mask & deletion_mask):
-                return True
-        return False
+    def survives_mask(self, row: Row, deletion: DeletionLike) -> bool:
+        """True if ``row`` keeps a witness disjoint from ``deletion``."""
+        disjoint = frozenset(_as_ids(deletion)).isdisjoint
+        return any(map(disjoint, self._witness_bits(row)))
 
     def side_effects_mask(
-        self, target: Row, deletion_mask: "int | SegmentedMask"
+        self, target: Row, deletion: DeletionLike
     ) -> FrozenSet[Row]:
-        """View rows other than ``target`` destroyed by ``deletion_mask``.
+        """View rows other than ``target`` destroyed by ``deletion``.
 
-        Only rows whose witness universe intersects the deletion mask can be
+        Only rows whose witness universe meets the deletion can be
         destroyed, so the scan runs over the inverted index's union of
-        affected rows — not the whole view.
+        reached rows — not the whole view.
         """
-        target = tuple(target)
-        destroyed = self._destroyed_value(deletion_mask)
-        destroyed.discard(target)
-        return frozenset(destroyed)
+        return self._destroyed(_as_ids(deletion)).difference((tuple(target),))
 
     # ------------------------------------------------------------------
     # Batched hypothetical deletion
     # ------------------------------------------------------------------
-    @staticmethod
-    def _as_mask(value: "int | Sequence[int]") -> int:
-        """Normalize a vector element (int mask or bit-id sequence) to int."""
-        if isinstance(value, int):
-            return value
-        mask = 0
-        for bit in value:
-            mask |= 1 << bit
-        return mask
+    def _survival_index(self) -> SurvivalIndex:
+        """The survival kernel's state, built once on the first probe."""
+        if self._survival is None:
+            self._survival = SurvivalIndex.build(self._table)
+        return self._survival
 
-    @staticmethod
-    def _destroyed(
-        deletion_mask: int,
-        touched: Dict[int, Tuple[Row, ...]],
-        witnesses: Dict[Row, MaskWitnesses],
-    ) -> Set[Row]:
-        """Rows whose every witness intersects ``deletion_mask``."""
-        candidates: Set[Row] = set()
-        for bit_index in iter_bits(deletion_mask):
-            candidates.update(touched.get(bit_index, ()))
-        destroyed: Set[Row] = set()
-        for row in candidates:
-            for mask in witnesses[row]:
-                if not (mask & deletion_mask):
-                    break
-            else:
-                destroyed.add(row)
-        return destroyed
+    def _destroyed(self, ids: Sequence[int]) -> FrozenSet[Row]:
+        """Rows whose every witness meets the deleted ``ids``."""
+        return self._destroyed_each([ids])[0]
 
-    @staticmethod
-    def _destroyed_segmented(
-        deletion: SegmentedMask,
-        touched: Dict[int, Tuple[Row, ...]],
-        seg_witnesses: "Dict[Row, Tuple[SegmentedMask, ...]]",
-    ) -> Set[Row]:
-        """:meth:`_destroyed`, run entirely on segmented masks.
+    def _destroyed_each(
+        self, vector: "Sequence[Sequence[int]]"
+    ) -> List[FrozenSet[Row]]:
+        """:meth:`_destroyed` for a vector, with the lookups hoisted."""
+        state = self._survival_index()
+        destroyed, row_of = state.destroyed, state.rows.__getitem__
+        return [frozenset(map(row_of, destroyed(ids))) for ids in vector]
 
-        The inverted index is shared with the int path (bit ids are global
-        either way); only the per-witness intersection test changes, from a
-        whole-universe int AND to a touched-segment probe.
-        """
-        candidates: Set[Row] = set()
-        deletion_items = tuple(deletion.items())
-        for seg, bits in deletion_items:  # inline word peel, no generator
-            base = seg * SEGMENT_BITS
-            while bits:
-                low = bits & -bits
-                rows = touched.get(base + low.bit_length() - 1)
-                if rows:
-                    candidates.update(rows)
-                bits ^= low
-        destroyed: Set[Row] = set()
-        if len(deletion_items) == 1:
-            # The dominant shape (a compact universe is one segment; a
-            # hitting-set candidate rarely straddles several): one dict
-            # probe + one word AND per witness, like the int path.
-            seg, word = deletion_items[0]
-            for row in candidates:
-                for seg_mask in seg_witnesses[row]:
-                    if not (seg_mask._segs.get(seg, 0) & word):
-                        break  # a disjoint witness: the row survives
-                else:
-                    destroyed.add(row)
-            return destroyed
-        for row in candidates:
-            for seg_mask in seg_witnesses[row]:
-                segs = seg_mask._segs
-                for seg, word in deletion_items:
-                    if segs.get(seg, 0) & word:
-                        break  # this witness is hit; try the next one
-                else:
-                    break  # a disjoint witness: the row survives
-            else:
-                destroyed.add(row)
-        return destroyed
-
-    def _segmented_witnesses(self) -> "Dict[Row, Tuple[SegmentedMask, ...]]":
-        """The witness table in segmented form, built once on demand.
-
-        From a CSR table the segmented masks come straight from the flat
-        bit runs (no whole-universe ints are ever built); from the dict
-        form each int mask is split segment-wise.  Identical masks either
-        way (property-tested).
-        """
-        if self._seg_witnesses is None:
-            if self._table is not None and self._witnesses is None:
-                self._seg_witnesses = self._table.segmented_by_row()
-            else:
-                from_int = SegmentedMask.from_int
-                self._seg_witnesses = {
-                    row: tuple(from_int(mask) for mask in masks)
-                    for row, masks in self._witnesses.items()
-                }
-        return self._seg_witnesses
-
-    def _destroyed_value(self, value: DeletionLike) -> Set[Row]:
-        """Destroyed rows for one deletion, whichever form it arrived in."""
-        if isinstance(value, SegmentedMask):
-            return self._destroyed_segmented(
-                value, self._touched_rows(), self._segmented_witnesses()
-            )
-        return self._destroyed(
-            self._as_mask(value), self._touched_rows(), self._mask_witnesses()
-        )
-
-    def surviving_rows(
-        self, deletion_mask: "int | SegmentedMask"
-    ) -> FrozenSet[Row]:
-        """The view after hypothetically deleting ``deletion_mask``.
+    def surviving_rows(self, deletion: DeletionLike) -> FrozenSet[Row]:
+        """The view after hypothetically deleting ``deletion``.
 
         Equal to re-evaluating the query over the deleted database, but
-        answered from the witness masks: rows untouched by the mask's
-        inverted-index entries provably survive, the rest are tested mask
-        by mask.
+        answered from the witnesses: rows the deletion's inverted-index
+        entries do not reach provably survive, the rest are tested witness
+        by witness.
         """
-        if not deletion_mask:
-            return frozenset(self._view_rows())
-        destroyed = self._destroyed_value(deletion_mask)
+        destroyed = self._destroyed(_as_ids(deletion)) if deletion else ()
         if not destroyed:
-            return frozenset(self._view_rows())
+            return frozenset(self._table.rows)
         return frozenset(
-            row for row in self._view_rows() if row not in destroyed
+            row for row in self._table.rows if row not in destroyed
         )
 
     def batch_destroyed(
         self,
-        masks: "Sequence[int | Sequence[int] | SegmentedMask]",
+        masks: "Sequence[DeletionLike]",
         workers: "int | None" = None,
     ) -> List[FrozenSet[Row]]:
-        """Destroyed-row sets for a whole vector of candidate deletion masks.
+        """Destroyed-row sets for a whole vector of candidate deletions.
 
         The vector-level API of the exact solvers' candidate scans.  Each
         answer costs the same as one :meth:`side_effects_mask`-style pass;
-        the batch's value is answering a candidate vector from the witness
-        masks instead of re-running the query per candidate (see
+        the batch's value is answering a candidate vector from the
+        witnesses instead of re-running the query per candidate (see
         ``benchmarks/bench_plan_compile.py``'s per-candidate-vs-batched
         ablation).
 
@@ -535,29 +365,31 @@ class BitsetProvenance:
         the serial path (``workers`` ``None``/0/1); vectors shorter than
         :data:`SHARD_MIN_BATCH` stay serial regardless.
         """
-        if workers is not None and workers > 1 and len(masks) >= SHARD_MIN_BATCH:
+        ids = [_as_ids(mask) for mask in masks]
+        if workers is not None and workers > 1 and len(ids) >= SHARD_MIN_BATCH:
             interned: Dict[Tuple[int, ...], FrozenSet[Row]] = {}
             return [
                 self._intern_destroyed(indices, interned)
-                for indices in self._sharded_indices(masks, workers)
+                for indices in self._sharded_indices(ids, workers)
             ]
-        return [frozenset(self._destroyed_value(mask)) for mask in masks]
+        return self._destroyed_each(ids)
 
     def batch_side_effects_mask(
         self,
         target: Row,
-        masks: "Sequence[int | Sequence[int] | SegmentedMask]",
+        masks: "Sequence[DeletionLike]",
         workers: "int | None" = None,
     ) -> List[FrozenSet[Row]]:
-        """:meth:`side_effects_mask` for a whole vector of masks.
+        """:meth:`side_effects_mask` for a whole vector of deletions.
 
         ``workers`` shards the vector exactly as in :meth:`batch_destroyed`.
         """
         target = tuple(target)
-        if workers is not None and workers > 1 and len(masks) >= SHARD_MIN_BATCH:
+        ids = [_as_ids(mask) for mask in masks]
+        if workers is not None and workers > 1 and len(ids) >= SHARD_MIN_BATCH:
             interned: Dict[Tuple[int, ...], FrozenSet[Row]] = {}
             out: List[FrozenSet[Row]] = []
-            for indices in self._sharded_indices(masks, workers):
+            for indices in self._sharded_indices(ids, workers):
                 effects = interned.get(indices)
                 if effects is None:
                     rows = self._shard_snapshot().rows
@@ -569,19 +401,15 @@ class BitsetProvenance:
                     interned[indices] = effects
                 out.append(effects)
             return out
-        out = []
-        for mask in masks:
-            destroyed = self._destroyed_value(mask)
-            destroyed.discard(target)
-            out.append(frozenset(destroyed))
-        return out
+        exclude = (target,)
+        return [d.difference(exclude) for d in self._destroyed_each(ids)]
 
     def batch_surviving_rows(
         self,
-        masks: "Sequence[int | Sequence[int] | SegmentedMask]",
+        masks: "Sequence[DeletionLike]",
         workers: "int | None" = None,
     ) -> List[FrozenSet[Row]]:
-        """:meth:`surviving_rows` for a whole vector of masks.
+        """:meth:`surviving_rows` for a whole vector of deletions.
 
         The literal "what survives after deleting ``T``?" vector — the
         question the exact solvers spend their time on.  Candidates that
@@ -590,13 +418,13 @@ class BitsetProvenance:
         share one surviving view, so the per-answer set difference is paid
         once per distinct answer.
         """
-        all_rows = frozenset(self._view_rows())
-        if workers is not None and workers > 1 and len(masks) >= SHARD_MIN_BATCH:
-            snapshot = self._shard_snapshot()
-            rows = snapshot.rows
+        all_rows = frozenset(self._table.rows)
+        ids = [_as_ids(mask) for mask in masks]
+        if workers is not None and workers > 1 and len(ids) >= SHARD_MIN_BATCH:
+            rows = self._shard_snapshot().rows
             interned: Dict[Tuple[int, ...], FrozenSet[Row]] = {(): all_rows}
             out: List[FrozenSet[Row]] = []
-            for indices in self._sharded_indices(masks, workers):
+            for indices in self._sharded_indices(ids, workers):
                 survivors = interned.get(indices)
                 if survivors is None:
                     survivors = all_rows.difference(
@@ -605,35 +433,28 @@ class BitsetProvenance:
                     interned[indices] = survivors
                 out.append(survivors)
             return out
-        out = []
-        for mask in masks:
-            destroyed = self._destroyed_value(mask)
-            out.append(all_rows if not destroyed else all_rows - destroyed)
-        return out
+        return [
+            all_rows - destroyed if destroyed else all_rows
+            for destroyed in self._destroyed_each(ids)
+        ]
 
     def _shard_snapshot(self) -> ShardSnapshot:
         """The immutable snapshot worker shards answer from (built once).
 
-        A CSR-backed kernel hands its flat offset/bit arrays to the
-        snapshot directly — the snapshot's own on-disk/numpy layout — so no
-        int masks are encoded or re-decoded along the way.
+        The snapshot adopts the CSR arrays as its own layout, so nothing is
+        re-encoded along the way.
         """
         if self._snapshot is None:
-            if self._table is not None and self._witnesses is None:
-                self._snapshot = ShardSnapshot.from_witness_table(
-                    self._table, len(self._index)
-                )
-            else:
-                self._snapshot = ShardSnapshot.from_witnesses(
-                    self._mask_witnesses(), len(self._index)
-                )
+            self._snapshot = ShardSnapshot.from_witness_table(
+                self._table, len(self._index)
+            )
         return self._snapshot
 
     def _sharded_indices(
-        self, masks: "Sequence[int | Sequence[int] | SegmentedMask]", workers: int
+        self, ids: "Sequence[Sequence[int]]", workers: int
     ) -> List[Tuple[int, ...]]:
-        """Destroyed row-index tuples for ``masks``, answered sharded."""
-        return sharded_destroyed_indices(self._shard_snapshot(), masks, workers)
+        """Destroyed row-index tuples for ``ids``, answered sharded."""
+        return sharded_destroyed_indices(self._shard_snapshot(), ids, workers)
 
     def _intern_destroyed(
         self,
@@ -647,24 +468,6 @@ class BitsetProvenance:
             answer = frozenset(map(rows.__getitem__, indices))
             interned[indices] = answer
         return answer
-
-    def _touched_rows(self) -> Dict[int, Tuple[Row, ...]]:
-        """source bit id → view rows whose witness universe contains it."""
-        if self._touched is None:
-            if self._table is not None and self._witnesses is None:
-                self._touched = self._table.touched_rows()
-            else:
-                touched: Dict[int, List[Row]] = {}
-                for row, masks in self._witnesses.items():
-                    universe = 0
-                    for mask in masks:
-                        universe |= mask
-                    for bit_index in iter_bits(universe):
-                        touched.setdefault(bit_index, []).append(row)
-                self._touched = {
-                    bit: tuple(rows) for bit, rows in touched.items()
-                }
-        return self._touched
 
     # ------------------------------------------------------------------
     # Incremental maintenance (the write path)
@@ -692,8 +495,7 @@ class BitsetProvenance:
 
         *Deletions* patch the witness table directly: a witness dies iff
         its monomial mentions a deleted id, a row dies iff all its
-        witnesses do (:meth:`WitnessTable.drop_bits` on the CSR form; a
-        touched-rows-guided filter on the dict form).  *Inserts* are
+        witnesses do (:meth:`WitnessTable.drop_bits`).  *Inserts* are
         evaluated as delta branches: for each inserted relation the plan
         is re-run over a database where that relation holds only its delta
         rows — sound when the query is linear in each inserted relation
@@ -702,9 +504,12 @@ class BitsetProvenance:
         over an inserted relation, or an
         :class:`~repro.errors.ExponentialGuardError` during a branch, fall
         back to one full re-annotation over ``new_db`` (still on the
-        shared index and plan).  A CSR-backed kernel stays CSR: branch
-        results splice into the arrays (:meth:`WitnessTable.merge_rows`)
-        without materializing the dict view.
+        shared index and plan).  Branch results splice into the arrays
+        (:meth:`WitnessTable.merge_rows`).
+
+        A warm survival index is carried across the same delta
+        (:meth:`SurvivalIndex.patched`), so a probe after the write costs
+        what a probe before it did; a cold one stays cold.
 
         ``store`` (a ColumnStore matching ``new_db`` — the engine hands
         the delta-patched one) routes any full re-annotation through the
@@ -716,21 +521,9 @@ class BitsetProvenance:
             if rows
         }
         deleted_ids = self._index.encode_ids(deleted_sources)
-        # Derived serving state (segmented witnesses, inverted index) is
-        # patched across the delta too — when warm, a probe after the
-        # write costs the same as a probe before it.
-        new_seg, new_touched = self._derived_after_deletions(deleted_ids)
 
         # Phase 1: patch deletions out of the witness table.
-        seg_patch: "Dict[Row, Tuple[SegmentedMask, ...]] | None" = None
-        if self._table is not None and self._witnesses is None:
-            patched: "Dict[Row, MaskWitnesses] | WitnessTable" = (
-                self._table.drop_bits(deleted_ids)
-                if deleted_ids
-                else self._table
-            )
-        else:
-            patched, seg_patch = self._drop_from_dicts(deleted_ids)
+        patched = self._table.drop_bits(deleted_ids)
 
         if inserted and query is None:
             raise ValueError("apply_delta needs the query to patch inserts")
@@ -743,15 +536,7 @@ class BitsetProvenance:
                 if occurrences.get(name, 0) > 0
             }
         if not inserted:
-            kernel = BitsetProvenance(
-                self._schema, patched, self._index, self._view_name
-            )
-            kernel._seg_witnesses = (
-                new_seg if new_seg is not None else seg_patch
-            )
-            kernel._touched = new_touched
-            _registry().counter("provenance.delta.patched").inc()
-            return kernel
+            return self._patched_kernel(patched, deleted_ids, None)
 
         nonlinear = _join_nonlinear_names(query)
         if any(name in nonlinear for name in inserted):
@@ -808,162 +593,41 @@ class BitsetProvenance:
             return self._reannotate(query, new_db, plan, optimizer_level, store)
 
         # Merge the branch contributions: only rows the delta actually
-        # touched are decoded/re-minimized.
-        is_csr = isinstance(patched, WitnessTable)
+        # touched are decoded/re-minimized, and they splice back into the
+        # arrays — the untouched bulk is one vectorized copy.
         updates: Dict[Row, MaskWitnesses] = {}
         for table in branch_tables:
             for row, masks in table.items():
                 prev = updates.get(row)
                 if prev is None:
-                    prev = (
-                        patched.masks_of(row) if is_csr else patched.get(row)
-                    )
+                    prev = patched.masks_of(row)
                 updates[row] = (
                     masks
                     if prev is None
                     else minimize_masks(set(prev) | set(masks))
                 )
-        if is_csr:
-            # Stay in arrays: splice the merged masks back in, the
-            # untouched bulk is one vectorized copy.
-            table_out: "Dict[Row, MaskWitnesses] | WitnessTable" = (
-                patched.merge_rows(updates)
-            )
-        else:
-            table_out = dict(patched)
-            table_out.update(updates)
-        kernel = BitsetProvenance(
-            self._schema, table_out, self._index, self._view_name
+        return self._patched_kernel(
+            patched.merge_rows(updates), deleted_ids, updates
         )
-        if new_seg is not None and new_touched is not None:
-            kernel._seg_witnesses, kernel._touched = self._derived_after_updates(
-                new_seg, new_touched, updates
-            )
+
+    def _patched_kernel(
+        self,
+        table: WitnessTable,
+        deleted_ids: Sequence[int],
+        updates: "Dict[Row, MaskWitnesses] | None",
+    ) -> "BitsetProvenance":
+        """The kernel over a delta-patched ``table``, carrying this
+        kernel's warm survival index across the same delta."""
+        kernel = BitsetProvenance(
+            self._schema, table, self._index, self._view_name
+        )
+        state = self._survival
+        if state is not None:
+            state = state.patched(deleted_ids, updates)
+            if len(state.rows) <= _SLOT_SLACK * len(table) + 64:
+                kernel._survival = state
         _registry().counter("provenance.delta.patched").inc()
         return kernel
-
-    def _drop_from_dicts(
-        self, deleted_ids: Sequence[int]
-    ) -> "Tuple[Dict[Row, MaskWitnesses], Dict[Row, Tuple[SegmentedMask, ...]] | None]":
-        """Deletion-patch the dict-backed witness table (and its segmented
-        twin in lockstep, when already materialized)."""
-        witnesses = self._mask_witnesses()
-        seg = self._seg_witnesses
-        if not deleted_ids:
-            return witnesses, seg
-        dmask = 0
-        for bit in deleted_ids:
-            dmask |= 1 << bit
-        touched = self._touched_rows()
-        affected: Set[Row] = set()
-        for bit in deleted_ids:
-            rows = touched.get(bit)
-            if rows:
-                affected.update(rows)
-        if not affected:
-            return witnesses, seg
-        patched = dict(witnesses)
-        seg_patch = dict(seg) if seg is not None else None
-        for row in affected:
-            masks = patched[row]
-            keep = [not (mask & dmask) for mask in masks]
-            if all(keep):
-                continue
-            if not any(keep):
-                del patched[row]
-                if seg_patch is not None:
-                    del seg_patch[row]
-                continue
-            # Filtering a canonically-sorted antichain preserves canonical
-            # order, so the kept tuple equals a fresh minimization.
-            patched[row] = tuple(
-                mask for mask, k in zip(masks, keep) if k
-            )
-            if seg_patch is not None:
-                seg_patch[row] = tuple(
-                    sm for sm, k in zip(seg_patch[row], keep) if k
-                )
-        return patched, seg_patch
-
-    def _derived_after_deletions(
-        self, deleted_ids: Sequence[int]
-    ) -> "Tuple[dict | None, dict | None]":
-        """This kernel's warm derived caches, patched past the deletions.
-
-        Returns ``(segmented witnesses, touched-rows inverted index)`` as
-        fresh dicts the caller may keep mutating, or ``(None, None)`` when
-        either cache was never materialized — patching cold state would
-        just move the cold build into the write.
-        """
-        seg = self._seg_witnesses
-        touched = self._touched
-        if seg is None or touched is None:
-            return None, None
-        new_seg = dict(seg)
-        new_touched = dict(touched)
-        if not deleted_ids:
-            return new_seg, new_touched
-        dsegs: Dict[int, int] = {}
-        affected: Set[Row] = set()
-        for b in deleted_ids:
-            b = int(b)
-            dsegs[b // SEGMENT_BITS] = dsegs.get(b // SEGMENT_BITS, 0) | (
-                1 << (b % SEGMENT_BITS)
-            )
-            rows = touched.get(b)
-            if rows:
-                affected.update(rows)
-        ditems = tuple(dsegs.items())
-        for row in affected:
-            masks = new_seg.get(row)
-            if masks is None:
-                continue
-            kept = tuple(
-                sm
-                for sm in masks
-                if not any(sm._segs.get(s, 0) & w for s, w in ditems)
-            )
-            if len(kept) == len(masks):
-                continue
-            old_u = _union_segments(masks)
-            if kept:
-                new_seg[row] = kept
-                new_u = _union_segments(kept)
-            else:
-                del new_seg[row]
-                new_u = {}
-            # Bits the row's universe lost leave the inverted index — a
-            # surviving witness may still hold them, hence the diff.
-            for s, w in old_u.items():
-                lost = w & ~new_u.get(s, 0)
-                base = s * SEGMENT_BITS
-                for bit in iter_bits(lost):
-                    _touched_discard(new_touched, base + bit, row)
-        return new_seg, new_touched
-
-    @staticmethod
-    def _derived_after_updates(
-        new_seg: dict, new_touched: dict, updates: "Dict[Row, MaskWitnesses]"
-    ) -> "Tuple[dict, dict]":
-        """Fold the insert merge's per-row mask updates into the caches."""
-        from_int = SegmentedMask.from_int
-        for row, masks in updates.items():
-            old = new_seg.get(row)
-            old_u = _union_segments(old) if old else {}
-            seg_masks = tuple(from_int(mask) for mask in masks)
-            new_seg[row] = seg_masks
-            new_u = _union_segments(seg_masks)
-            for s, w in new_u.items():
-                gained = w & ~old_u.get(s, 0)
-                base = s * SEGMENT_BITS
-                for bit in iter_bits(gained):
-                    _touched_add(new_touched, base + bit, row)
-            for s, w in old_u.items():
-                lost = w & ~new_u.get(s, 0)
-                base = s * SEGMENT_BITS
-                for bit in iter_bits(lost):
-                    _touched_discard(new_touched, base + bit, row)
-        return new_seg, new_touched
 
     def _reannotate(
         self,
@@ -996,16 +660,25 @@ class BitsetProvenance:
     # ------------------------------------------------------------------
     def decode_witnesses(self, row: Row) -> FrozenSet[FrozenSet[SourceTuple]]:
         """The minimal witnesses of ``row`` in the public frozenset form."""
-        decode = self._index.decode_mask
-        return frozenset(decode(mask) for mask in self.witness_masks(row))
+        decode = self._index.decode
+        return frozenset(
+            frozenset(map(decode, wit)) for wit in self._witness_bits(row)
+        )
 
     def decode_all(self) -> Dict[Row, FrozenSet[FrozenSet[SourceTuple]]]:
         """The full row → witness-set mapping, decoded."""
         decode = self._index.decode_mask
         return {
             row: frozenset(decode(mask) for mask in masks)
-            for row, masks in self._mask_witnesses().items()
+            for row, masks in self._table.to_masks().items()
         }
+
+
+def _as_ids(deletion: DeletionLike) -> Sequence[int]:
+    """A deletion as a sequence of source ids (int masks are decomposed)."""
+    if isinstance(deletion, int):
+        return tuple(iter_bits(deletion))
+    return deletion
 
 
 def bitset_why_provenance(
@@ -1053,12 +726,11 @@ def bitset_why_provenance(
     if store is not None:
         table = plan.annotated_table_columnar(store, index)
         path = "columnar-csr"
-        nwits = table.witness_count
     else:
-        table = plan.annotated_rows(db, index)
+        table = WitnessTable.from_masks(plan.annotated_rows(db, index))
         path = "tuple"
-        nwits = sum(len(masks) for masks in table.values())
     seconds = perf_counter() - started
+    nwits = table.witness_count
     prov = BitsetProvenance(plan.schema, table, index, view_name)
     prov.build_stats = {
         "seconds": seconds,

@@ -65,7 +65,6 @@ from repro.algebra.optimizer import DEFAULT_OPTIMIZER_LEVEL
 from repro.algebra.plan import CompiledPlan, DEFAULT_VIEW_NAME, compile_plan
 from repro.algebra.relation import Database
 from repro.algebra.stats import TableStatistics, stats_version
-from repro.provenance.segmask import SegmentedMask
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.provenance.where import WhereProvenance
@@ -121,13 +120,7 @@ def approx_object_bytes(value: Any, limit: int = _SIZE_WALK_LIMIT) -> int:
             total += sys.getsizeof(obj)
         except TypeError:  # pragma: no cover - exotic objects without size
             continue
-        # SegmentedMask sizes itself payload-inclusively (__sizeof__ covers
-        # the segment dict and its words), so it is a leaf here — walking
-        # its internals would double-count every witness mask.
-        if (
-            isinstance(obj, (str, bytes, int, float, bool, SegmentedMask))
-            or obj is None
-        ):
+        if isinstance(obj, (str, bytes, int, float, bool)) or obj is None:
             continue
         children: "list" = []
         if isinstance(obj, dict):

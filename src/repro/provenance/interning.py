@@ -24,7 +24,6 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 from repro.errors import ReproError
 from repro.algebra.relation import Database, Row
 from repro.provenance.locations import SourceTuple
-from repro.provenance.segmask import SEGMENT_BITS, SegmentedMask
 
 __all__ = ["SourceIndex", "iter_bits"]
 
@@ -116,37 +115,19 @@ class SourceIndex:
     def encode_ids(self, sources: Iterable[SourceTuple]) -> Tuple[int, ...]:
         """The ids of ``sources`` as an ascending tuple (unknown skipped).
 
-        The flat-id twin of :meth:`encode`: the batch mask APIs
-        (:meth:`~repro.provenance.bitset.BitsetProvenance.batch_destroyed`
-        and friends) accept vector elements in this form as well as int
-        masks, for callers that already hold ids and would rather not
-        build masks they do not otherwise need.
+        The flat-id twin of :meth:`encode`, and the deletion form the
+        survival kernel runs on
+        (:meth:`~repro.provenance.bitset.BitsetProvenance.encode_deletions_auto`):
+        its cost is the deletion's size, not the interned universe's.
         """
         ids = self._ids
-        found = [
-            bit
-            for bit in (ids.get((name, tuple(row))) for name, row in sources)
-            if bit is not None
-        ]
-        found.sort()
-        return tuple(found)
-
-    def encode_segmented(self, sources: Iterable[SourceTuple]) -> SegmentedMask:
-        """The ids of ``sources`` as a :class:`SegmentedMask`.
-
-        The segmented twin of :meth:`encode` (unknown tuples skipped, same
-        bits): the form the deletion solvers and the serving engine hand to
-        the batch mask APIs, so encoding and every downstream mask op cost
-        the touched segments instead of the whole interned universe.
-        """
-        ids = self._ids
-        segs: dict = {}
-        for name, row in sources:  # inlined from_bits: this is a hot path
+        found = []
+        for name, row in sources:
             bit = ids.get((name, tuple(row)))
             if bit is not None:
-                seg, offset = divmod(bit, SEGMENT_BITS)
-                segs[seg] = segs.get(seg, 0) | (1 << offset)
-        return SegmentedMask._trusted(segs)
+                found.append(bit)
+        found.sort()
+        return tuple(found)
 
     # ------------------------------------------------------------------
     # Decoding
@@ -158,14 +139,11 @@ class SourceIndex:
         except IndexError:
             raise ReproError(f"no source tuple with id {bit_index}") from None
 
-    def decode_mask(
-        self, mask: "int | SegmentedMask"
-    ) -> FrozenSet[SourceTuple]:
+    def decode_mask(self, mask: int) -> FrozenSet[SourceTuple]:
         """The set of source tuples named by the set bits of ``mask``."""
         tuples = self._tuples
         out: Set[SourceTuple] = set()
-        bits = mask.iter_bits() if isinstance(mask, SegmentedMask) else iter_bits(mask)
-        for bit_index in bits:
+        for bit_index in iter_bits(mask):
             try:
                 out.add(tuples[bit_index])
             except IndexError:

@@ -89,8 +89,8 @@ class WhyProvenance:
 
     When backed by a :class:`~repro.provenance.bitset.BitsetProvenance`
     kernel (the default engine), survival and side-effect queries run on
-    bitmasks and witnesses decode to frozensets lazily, per row, on first
-    access; constructing from a plain witnesses dict still works and keeps
+    its witness tables and witnesses decode to frozensets lazily, per row,
+    on first access; constructing from a plain witnesses dict still works and keeps
     the pre-kernel behaviour.
     """
 
@@ -223,15 +223,15 @@ class WhyProvenance:
 
         The batched inner loop of the exact deletion solvers: on the bitset
         kernel the whole candidate vector is answered from the witness
-        masks through the inverted index — sharded across ``workers`` when
+        tables through the inverted index — sharded across ``workers`` when
         more than one is requested (:mod:`repro.parallel`).  Without a
         kernel (legacy engine) this degrades to a per-candidate loop with
         identical answers, and ``workers`` is ignored.
         """
         if self._kernel is not None:
             kernel = self._kernel
-            masks = [kernel.encode_deletions_auto(d) for d in deletion_sets]
-            return kernel.batch_side_effects_mask(target, masks, workers=workers)
+            encoded = [kernel.encode_deletions_auto(d) for d in deletion_sets]
+            return kernel.batch_side_effects_mask(target, encoded, workers=workers)
         return [self.side_effects(target, d) for d in deletion_sets]
 
     def __len__(self) -> int:

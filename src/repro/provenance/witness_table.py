@@ -4,8 +4,8 @@ The bitset kernel's logical object is ``row -> tuple of witness masks``
 (:mod:`repro.provenance.bitset`), where each mask is one whole-universe
 Python int.  At scale the ints dominate: every scan/merge/join of the
 annotated executor pays O(universe/64) words per mask however few bits are
-set, and every derived structure (segmented view, inverted index, shard
-snapshot) re-walks the big ints to get the bit ids back out.
+set, and every derived structure (inverted index, shard snapshot) would
+re-walk the big ints to get the bit ids back out.
 
 :class:`WitnessTable` stores the same witness sets as three flat arrays —
 the compressed-sparse-row layout :class:`~repro.parallel.shards.
@@ -28,6 +28,9 @@ Containers are numpy ``int64`` arrays when the table was built by the
 vectorized kernels and plain Python lists when built by the pure-Python
 fallback; every method branches on the container, so values — and every
 downstream answer — are bit-identical either way (property-tested).
+
+:class:`SurvivalIndex` is the one pure-Python survival kernel over a table:
+"which rows lose every witness when these source ids are deleted?"
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.provenance.interning import iter_bits
-from repro.provenance.segmask import SegmentedMask, segmented_from_bit_runs
 
 try:  # optional acceleration; the list-backed form is bit-identical
     import numpy as _np
@@ -47,18 +49,15 @@ except ImportError:  # pragma: no cover - exercised via the no-numpy CI leg
     _np = None
     HAVE_NUMPY = False
 
-__all__ = ["WitnessTable"]
-
-#: ``touched_rows`` packs (bit, row) pairs into single int64 keys for the
-#: vectorized dedup; above this product the packing could overflow and the
-#: pure loop (same answers) runs instead.
-_PACK_LIMIT = 2**62
+__all__ = ["WitnessTable", "SurvivalIndex"]
 
 
 def _as_int_list(container) -> List[int]:
     """A plain list of Python ints, whatever the container kind."""
     if isinstance(container, list):
         return container
+    if hasattr(container, "tolist"):
+        return container.tolist()
     return [int(v) for v in container]
 
 
@@ -186,63 +185,47 @@ class WitnessTable:
             }
         return self._masks
 
-    def segmented_by_row(self) -> "Dict[Tuple, Tuple[SegmentedMask, ...]]":
-        """Each row's witnesses as :class:`SegmentedMask`, from the arrays.
-
-        Equal (mask for mask, in order) to ``SegmentedMask.from_int`` over
-        :meth:`to_masks` — but built straight from the bit runs, without
-        materializing any whole-universe int.
-        """
-        seg_masks = segmented_from_bit_runs(self.wit_offsets, self.bit_ids)
-        row_offsets = _as_int_list(self.row_offsets)
-        return {
-            row: tuple(seg_masks[row_offsets[i] : row_offsets[i + 1]])
-            for i, row in enumerate(self.rows)
-        }
-
-    def touched_rows(self) -> "Dict[int, Tuple[Tuple, ...]]":
-        """Inverted index: source bit id -> rows whose universe contains it."""
-        rows = self.rows
-        if (
-            HAVE_NUMPY
-            and isinstance(self.bit_ids, _np.ndarray)
-            and len(self.bit_ids)
-        ):
-            nrows = len(rows)
-            max_bit = int(self.bit_ids.max())
-            if (max_bit + 1) * max(nrows, 1) < _PACK_LIMIT:
-                wit_row = _np.repeat(
-                    _np.arange(nrows, dtype=_np.int64),
-                    _np.diff(self.row_offsets),
-                )
-                bit_row = _np.repeat(wit_row, _np.diff(self.wit_offsets))
-                pairs = _np.unique(
-                    _np.asarray(self.bit_ids, dtype=_np.int64) * nrows + bit_row
-                )
-                bits = pairs // nrows
-                row_idx = pairs % nrows
-                runs = _np.flatnonzero(
-                    _np.concatenate(([True], bits[1:] != bits[:-1]))
-                )
-                ends = _np.concatenate((runs[1:], [len(pairs)]))
-                return {
-                    int(bits[s]): tuple(
-                        rows[i] for i in row_idx[s:e].tolist()
-                    )
-                    for s, e in zip(runs.tolist(), ends.tolist())
-                }
+    def touched_rows(self) -> "Dict[int, Tuple[int, ...]]":
+        """Inverted index: source bit id -> ascending indices (into
+        :attr:`rows`) of the rows whose witness universe contains it."""
         row_offsets = _as_int_list(self.row_offsets)
         wit_offsets = _as_int_list(self.wit_offsets)
         bit_ids = _as_int_list(self.bit_ids)
-        touched: Dict[int, List[Tuple]] = {}
-        for i, row in enumerate(rows):
-            seen: set = set()
-            for w in range(row_offsets[i], row_offsets[i + 1]):
-                for k in range(wit_offsets[w], wit_offsets[w + 1]):
-                    seen.add(bit_ids[k])
-            for bit in seen:
-                touched.setdefault(bit, []).append(row)
+        touched: Dict[int, List[int]] = {}
+        for i in range(len(self.rows)):
+            first = wit_offsets[row_offsets[i]]
+            last = wit_offsets[row_offsets[i + 1]]
+            for bit in set(bit_ids[first:last]):
+                touched.setdefault(bit, []).append(i)
         return {bit: tuple(ids) for bit, ids in touched.items()}
+
+    def bits_of(self, row) -> "Optional[Tuple[Tuple[int, ...], ...]]":
+        """``row``'s witnesses as ascending bit-id tuples, or ``None`` when
+        absent — a point lookup that decodes one row's spans only."""
+        if self._row_pos is None:
+            self._row_pos = {r: i for i, r in enumerate(self.rows)}
+        i = self._row_pos.get(row)
+        if i is None:
+            return None
+        row_offsets, wit_offsets = self.row_offsets, self.wit_offsets
+        bit_ids = self.bit_ids
+        return tuple(
+            tuple(_as_int_list(bit_ids[wit_offsets[w] : wit_offsets[w + 1]]))
+            for w in range(int(row_offsets[i]), int(row_offsets[i + 1]))
+        )
+
+    def masks_of(self, row) -> "Optional[Tuple[int, ...]]":
+        """``row``'s minimized mask tuple, or ``None`` when absent.
+
+        A point lookup for the write path's insert merge and the decode
+        boundary — without materializing the whole :meth:`to_masks` view.
+        """
+        if self._masks is not None:
+            return self._masks.get(row)
+        wits = self.bits_of(row)
+        if wits is None:
+            return None
+        return tuple(sum(1 << bit for bit in wit) for wit in wits)
 
     # ------------------------------------------------------------------
     # Incremental maintenance
@@ -305,27 +288,6 @@ class WitnessTable:
         return WitnessTable(
             new_rows, new_row_offsets, new_wit_offsets, new_bit_ids
         )
-
-    def masks_of(self, row) -> "Optional[Tuple[int, ...]]":
-        """``row``'s minimized mask tuple, or ``None`` when absent.
-
-        A point lookup for the write path's insert merge — decodes one
-        row's spans without materializing the whole :meth:`to_masks` view.
-        """
-        if self._masks is not None:
-            return self._masks.get(row)
-        if not self.contains(row):
-            return None
-        i = self._row_pos[row]
-        row_offsets = _as_int_list(self.row_offsets)
-        wit_offsets = _as_int_list(self.wit_offsets)
-        masks: List[int] = []
-        for w in range(row_offsets[i], row_offsets[i + 1]):
-            mask = 0
-            for k in range(wit_offsets[w], wit_offsets[w + 1]):
-                mask |= 1 << int(self.bit_ids[k])
-            masks.append(mask)
-        return tuple(masks)
 
     def merge_rows(self, updates: "Dict[Tuple, Tuple[int, ...]]") -> "WitnessTable":
         """A new table with each row in ``updates`` holding exactly the
@@ -513,3 +475,138 @@ class WitnessTable:
             f"WitnessTable({len(self.rows)} rows, {self.witness_count} "
             f"witnesses, {self.total_bits} bits)"
         )
+
+
+def _universe(wits: "Tuple[Tuple[int, ...], ...]") -> "set":
+    """The set of bit ids mentioned by any of ``wits``."""
+    return set().union(*wits)
+
+
+class SurvivalIndex:
+    """The survival kernel and its derived state over a witness table.
+
+    A view row survives deleting a set of source ids iff one of its
+    minimal witnesses is disjoint from the set.  :meth:`destroyed` answers
+    that for every row at once, visiting only the rows the inverted index
+    says the deletion can reach.  The state is addressed by *slot*: slot
+    ``i`` holds ``rows[i]`` and its witnesses as ascending bit-id tuples.
+    Slots of a freshly built index are the table's row indices; a
+    :meth:`patched` index keeps every slot it had (a row that lost all its
+    witnesses keeps an empty one, reused if the row comes back) and
+    appends new rows at the end.
+
+    Instances are never mutated after construction, so a kernel being
+    patched can keep serving reads from the old one.
+    """
+
+    __slots__ = ("rows", "wits", "touched", "_slot_of")
+
+    def __init__(self, rows, wits, touched, slot_of=None):
+        #: slot -> view row.
+        self.rows = rows
+        #: slot -> the row's witnesses, each an ascending bit-id tuple.
+        self.wits = wits
+        #: source bit id -> slots whose witness universe contains it.
+        self.touched: "Dict[int, Tuple[int, ...]]" = touched
+        #: Lazy row -> slot map, built by the first insert patch.
+        self._slot_of: "Optional[Dict[Tuple, int]]" = slot_of
+
+    @classmethod
+    def build(cls, table: WitnessTable) -> "SurvivalIndex":
+        """Index ``table``; slot ``i`` is ``table.rows[i]``."""
+        row_offsets, wit_offsets, bit_ids = table.as_lists()
+        per_wit = [
+            tuple(bit_ids[a:b]) for a, b in zip(wit_offsets, wit_offsets[1:])
+        ]
+        wits = [
+            tuple(per_wit[a:b]) for a, b in zip(row_offsets, row_offsets[1:])
+        ]
+        return cls(table.rows, wits, table.touched_rows())
+
+    def destroyed(self, ids: "Sequence[int]") -> List[int]:
+        """Slots of the rows whose every witness meets the deleted ``ids``.
+
+        This is the one pure-Python survival kernel: the serial batch
+        methods of :class:`~repro.provenance.bitset.BitsetProvenance` and
+        the no-numpy chunk kernel of :class:`~repro.parallel.shards.
+        ShardSnapshot` both answer through it.
+        """
+        touched = self.touched
+        if len(ids) == 1:
+            reached = touched.get(ids[0], ())
+        else:
+            reached = set()
+            for bit in ids:
+                hit = touched.get(bit)
+                if hit:
+                    reached.update(hit)
+        if not reached:
+            return []
+        disjoint = frozenset(ids).isdisjoint
+        wits = self.wits
+        out = []
+        for i in reached:
+            for wit in wits[i]:
+                if disjoint(wit):
+                    break  # an untouched witness: the row survives
+            else:
+                out.append(i)
+        return out
+
+    def patched(
+        self,
+        deleted_ids: "Sequence[int]" = (),
+        updates: "Optional[Dict[Tuple, Tuple[int, ...]]]" = None,
+    ) -> "SurvivalIndex":
+        """This index carried across a write, without a rebuild.
+
+        Mirrors :meth:`WitnessTable.drop_bits` (every witness mentioning a
+        deleted id dies) followed by :meth:`WitnessTable.merge_rows` (each
+        row in ``updates`` now holds exactly the given canonical mask
+        tuple; an empty tuple removes it).  Only rows the deletion reaches
+        or the update names are touched.
+        """
+        rows = list(self.rows)
+        wits = list(self.wits)
+        touched = dict(self.touched)
+
+        def rewrite(slot: int, new: "Tuple[Tuple[int, ...], ...]") -> None:
+            old_u = _universe(wits[slot])
+            new_u = _universe(new)
+            for bit in old_u - new_u:
+                hit = touched.get(bit)
+                if hit is None:
+                    continue  # a deleted id: its whole entry is gone
+                kept = tuple(s for s in hit if s != slot)
+                if kept:
+                    touched[bit] = kept
+                else:
+                    del touched[bit]
+            for bit in new_u - old_u:
+                touched[bit] = touched.get(bit, ()) + (slot,)
+            wits[slot] = new
+
+        if deleted_ids:
+            dead = frozenset(deleted_ids)
+            reached = set()
+            for bit in dead:
+                reached.update(touched.pop(bit, ()))
+            for slot in reached:
+                kept = tuple(w for w in wits[slot] if dead.isdisjoint(w))
+                if len(kept) != len(wits[slot]):
+                    rewrite(slot, kept)
+        slot_of = self._slot_of
+        if updates:
+            slot_of = (
+                dict(slot_of)
+                if slot_of is not None
+                else {row: i for i, row in enumerate(rows)}
+            )
+            for row, masks in updates.items():
+                slot = slot_of.get(row)
+                if slot is None:
+                    slot = slot_of[row] = len(rows)
+                    rows.append(row)
+                    wits.append(())
+                rewrite(slot, tuple(tuple(iter_bits(mask)) for mask in masks))
+        return SurvivalIndex(rows, wits, touched, slot_of)

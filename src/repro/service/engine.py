@@ -707,10 +707,8 @@ class ServiceEngine:
         """Sorted destroyed-row tuples per candidate, mask path or fallback."""
         kernel = oracle.provenance.kernel if oracle.provenance else None
         if kernel is not None:
-            masks = [
-                kernel.encode_deletions_auto(d) for d in deletion_sets
-            ]
-            destroyed = kernel.batch_destroyed(masks, workers=self._workers)
+            encoded = [kernel.encode_deletions_auto(d) for d in deletion_sets]
+            destroyed = kernel.batch_destroyed(encoded, workers=self._workers)
             return [_sorted_rows(rows) for rows in destroyed]
         baseline = oracle.rows
         return [

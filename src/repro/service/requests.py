@@ -95,7 +95,35 @@ def _freeze_row(row) -> Row:
 
 
 def _freeze_deletions(deletions) -> FrozenSet[SourceTuple]:
-    return frozenset((rel, tuple(row)) for rel, row in deletions)
+    """``[relation, row]`` pairs as a frozenset of source tuples.
+
+    Every other shape — a string, a number, a pair whose relation is not a
+    name or whose row is not a list, unhashable values — raises
+    :class:`ServiceError`, so a malformed wire request is answered, never
+    dropped.
+    """
+    try:
+        pairs = list(deletions)
+    except TypeError:
+        raise ServiceError(
+            f"deletions must be a list of [relation, row] pairs, got {deletions!r}"
+        ) from None
+    frozen = []
+    for pair in pairs:
+        if not (
+            isinstance(pair, (list, tuple))
+            and len(pair) == 2
+            and isinstance(pair[0], str)
+            and isinstance(pair[1], (list, tuple))
+        ):
+            raise ServiceError(
+                f"malformed deletion {pair!r}: expected [relation, row]"
+            )
+        frozen.append((pair[0], tuple(pair[1])))
+    try:
+        return frozenset(frozen)
+    except TypeError as err:
+        raise ServiceError(f"unhashable value in deletions: {err}") from None
 
 
 # ----------------------------------------------------------------------
@@ -437,7 +465,7 @@ def decode_request(payload: Dict[str, object]):
             objective=payload.get("objective", "view"),
             exact=bool(payload.get("exact", True)),
         )
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise ServiceError(f"malformed {kind!r} request: {err!r}") from None
 
 

@@ -11,10 +11,14 @@ adds two transport fields to the :mod:`repro.service.requests` payload::
      "timeout_ms": 500}
 
 * ``id`` — opaque, echoed back;
-* ``timeout_ms`` — per-request deadline.  A request that cannot be
-  answered in time (still queued, or executing past the deadline) answers
-  ``{"ok": false, "error": "deadline exceeded ..."}`` instead of hanging
-  the connection.
+* ``timeout_ms`` — per-request deadline, a finite number.  A request that
+  cannot be answered in time (still queued, or executing past the
+  deadline) answers ``{"ok": false, "error": "deadline exceeded ..."}``
+  instead of hanging the connection.
+
+Every line gets exactly one answer: malformed input answers a
+``ServiceError``, and anything unexpected raised while serving a line
+answers an internal error — the connection never waits on a dead task.
 
 Execution is delegated to the :class:`~repro.service.batcher.MicroBatcher`
 — the event loop never blocks on the engine: futures from ``submit`` are
@@ -32,8 +36,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
+import math
 from concurrent.futures import Future
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.service.batcher import MicroBatcher
 from repro.service.engine import ServiceEngine
@@ -47,6 +53,8 @@ from repro.service.requests import (
 )
 
 __all__ = ["ServiceServer", "ServiceClient"]
+
+_log = logging.getLogger(__name__)
 
 #: Longest accepted request line; a run-away line answers an error and
 #: drops the connection instead of buffering without bound.
@@ -177,7 +185,9 @@ class ServiceServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         write_lock = asyncio.Lock()
-        tasks: List[asyncio.Task] = []
+        # Only pending tasks: each one leaves the set when it finishes, so
+        # a long-lived connection holds no more tasks than are in flight.
+        tasks: Set[asyncio.Task] = set()
         try:
             while True:
                 try:
@@ -198,26 +208,23 @@ class ServiceServer:
                 text = line.decode("utf-8", errors="replace").strip()
                 if not text:
                     continue
-                tasks.append(
-                    asyncio.ensure_future(
-                        self._serve_line(text, writer, write_lock)
-                    )
+                task = asyncio.ensure_future(
+                    self._serve_line(text, writer, write_lock)
                 )
+                tasks.add(task)
+                task.add_done_callback(tasks.discard)
                 if self._max_requests is not None:
-                    # Count requests as *accepted*, not served: a finished
-                    # task is in both self._served and tasks, so summing
-                    # the two double-counts it — the server would stop one
-                    # request early, drop the last response, and never
-                    # reach the served >= max_requests shutdown below.
+                    # Count requests as *accepted*, not served: a served
+                    # request whose task is still finishing would
+                    # otherwise count twice and stop the server early.
                     self._accepted += 1
                     if self._accepted >= self._max_requests:
                         break
             if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
+                await asyncio.gather(*list(tasks), return_exceptions=True)
         finally:
-            for task in tasks:
-                if not task.done():
-                    task.cancel()
+            for task in list(tasks):
+                task.cancel()
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -241,19 +248,34 @@ class ServiceServer:
             if isinstance(payload, dict):
                 request_id = payload.get("id")
             request = decode_request(payload)
-            timeout_ms = payload.get("timeout_ms")
-            timeout_s = (
-                timeout_ms / 1000.0
-                if isinstance(timeout_ms, (int, float))
-                else self._default_timeout_s
-            )
-            response = await self._answer(request, timeout_s)
+            response = await self._answer(request, self._timeout_s(payload))
         except json.JSONDecodeError as err:
             response = error_response(f"invalid JSON: {err}")
         except ServiceError as err:
             response = error_response(str(err))
+        except Exception as err:  # answer the line, whatever went wrong
+            _log.exception("internal error serving a request line")
+            self._engine.metrics.counter("server.internal_errors").inc()
+            response = error_response(
+                f"internal error: {type(err).__name__}: {err}"
+            )
         self._served += 1
         await self._send(writer, write_lock, request_id, response)
+
+    def _timeout_s(self, payload: dict) -> float:
+        """The envelope's deadline in seconds (the default when absent)."""
+        timeout_ms = payload.get("timeout_ms")
+        if timeout_ms is None:
+            return self._default_timeout_s
+        if (
+            isinstance(timeout_ms, (int, float))
+            and not isinstance(timeout_ms, bool)
+            and math.isfinite(timeout_ms)
+        ):
+            return timeout_ms / 1000.0
+        raise ServiceError(
+            f"timeout_ms must be a finite number, got {timeout_ms!r}"
+        )
 
     async def _answer(self, request, timeout_s: float) -> Response:
         metrics = self._engine.metrics

@@ -70,29 +70,6 @@ class TestApproxBytes:
         obj.payload = tuple(range(5000))
         assert approx_object_bytes(obj) > approx_object_bytes(obj.payload)
 
-    def test_segmented_mask_is_a_self_sizing_leaf(self):
-        import sys
-
-        from repro.provenance.segmask import SEGMENT_BITS, SegmentedMask
-
-        mask = SegmentedMask.from_bits(
-            [0, SEGMENT_BITS + 1, 40 * SEGMENT_BITS + 7]
-        )
-        # Leaf: sized once, payload-inclusively, with no child walk.
-        assert approx_object_bytes(mask) == sys.getsizeof(mask)
-        small = SegmentedMask.from_bits([0])
-        assert approx_object_bytes(mask) > approx_object_bytes(small)
-        # A witness table of masks accounts for every distinct mask's
-        # payload (the walk dedupes shared objects by identity).
-        masks = [
-            SegmentedMask.from_bits([i * SEGMENT_BITS, 40 * SEGMENT_BITS + 7])
-            for i in range(50)
-        ]
-        table = {("r", i): (m,) for i, m in enumerate(masks)}
-        assert approx_object_bytes(table) >= sum(
-            sys.getsizeof(m) for m in masks
-        )
-
 
 class TestByteBound:
     def test_default_is_byte_unbounded(self, db):

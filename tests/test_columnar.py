@@ -32,10 +32,11 @@ from repro.columnar import (
 )
 from repro.columnar.flatfile import read_flat, write_flat
 from repro.parallel import ShardSnapshot, sharded_destroyed_indices
-from repro.provenance.bitset import minimize_masks, popcount
+from repro.provenance.bitset import minimize_masks
 from repro.provenance.cache import ProvenanceCache, provenance_cache
 from repro.provenance.interning import SourceIndex
 from repro.provenance.why import why_provenance
+from repro.provenance.witness_table import WitnessTable
 from repro.workloads import random_instance
 
 seeds = st.integers(min_value=0, max_value=100_000)
@@ -175,7 +176,7 @@ class TestMinimizeDeterminism:
     def test_output_sorted_by_popcount_then_value(self):
         masks = {0b1010, 0b0110, 0b1, 0b111, 0b1000}
         out = minimize_masks(masks)
-        assert list(out) == sorted(out, key=lambda m: (popcount(m), m))
+        assert list(out) == sorted(out, key=lambda m: (m.bit_count(), m))
         # absorption still applies: 0b111 ⊇ 0b1 dropped, 0b1010 ⊇ 0b1000
         assert out == (0b1, 0b1000, 0b0110)
 
@@ -296,9 +297,11 @@ def _snapshot_fixture(seed):
     else:  # pragma: no cover - 50 consecutive empty views
         raise RuntimeError("no non-empty random instance found")
     kernel = prov.kernel
-    row_witnesses = [sorted(kernel.witness_masks(row)) for row in rows]
+    table = WitnessTable.from_masks(
+        {row: kernel.witness_masks(row) for row in rows}
+    )
     nbits = len(kernel.index)
-    snapshot = ShardSnapshot(rows, row_witnesses, nbits)
+    snapshot = ShardSnapshot.from_witness_table(table, nbits)
     rng = random.Random(seed)
     masks = [0, (1 << nbits) - 1]
     for _ in range(30):

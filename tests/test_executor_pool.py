@@ -29,7 +29,7 @@ def kernel():
 
 @pytest.fixture
 def snapshot(kernel):
-    snap = ShardSnapshot.from_witnesses(kernel._witnesses, len(kernel.index))
+    snap = ShardSnapshot.from_witness_table(kernel._table, len(kernel.index))
     snap.prepare()
     return snap
 
@@ -71,7 +71,7 @@ class TestPoolReuse:
             assert stats["created"] == 2 and stats["reused"] == 1
 
     def test_process_pools_key_on_their_snapshot(self, kernel, snapshot):
-        other = ShardSnapshot.from_witnesses(kernel._witnesses, len(kernel.index))
+        other = ShardSnapshot.from_witness_table(kernel._table, len(kernel.index))
         registry = PoolRegistry()
         with registry:
             a = registry.get("process", 2, snapshot)
@@ -81,7 +81,7 @@ class TestPoolReuse:
             assert registry.stats()["live_process_pools"] == 2
 
     def test_process_pool_lru_eviction(self, kernel, snapshot):
-        other = ShardSnapshot.from_witnesses(kernel._witnesses, len(kernel.index))
+        other = ShardSnapshot.from_witness_table(kernel._table, len(kernel.index))
         registry = PoolRegistry(max_process_pools=1)
         with registry:
             a = registry.get("process", 2, snapshot)
@@ -145,7 +145,7 @@ class TestHealthAndLifecycle:
             assert registry.get("process", 2) is pool  # keyed, reused
 
     def test_process_pool_refuses_foreign_snapshot(self, kernel, snapshot):
-        other = ShardSnapshot.from_witnesses(kernel._witnesses, len(kernel.index))
+        other = ShardSnapshot.from_witness_table(kernel._table, len(kernel.index))
         other.prepare()
         registry = PoolRegistry()
         with registry:

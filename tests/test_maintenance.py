@@ -4,8 +4,8 @@
 down and rebuilding over the post-delta database: same view rows, same
 decoded witnesses, same hypothetical-deletion answers — on the numpy and
 forced pure-Python paths, across random interleavings of deletes, inserts,
-and queries (Hypothesis), including source ids past the first 512-bit
-segment boundary and mixed-type columns.  Version-stamped snapshots must
+and queries (Hypothesis), including source ids past 512 and mixed-type
+columns.  Version-stamped snapshots must
 refuse (or transparently replace) stale mmap attachments on the thread and
 spawn pool backends, and the serving engine's warm per-(db, query) oracles
 must be patched/reused — never silently wrong — under real writes and
@@ -32,7 +32,7 @@ from repro.parallel.shards import ShardSnapshot
 from repro.provenance.bitset import bitset_why_provenance
 from repro.provenance.cache import ProvenanceCache, cached_plan, provenance_cache
 from repro.provenance.interning import SourceIndex
-from repro.provenance.segmask import SEGMENT_BITS
+from repro.provenance.witness_table import SurvivalIndex
 from repro.service.batcher import MicroBatcher
 from repro.service.engine import ServiceEngine
 from repro.service.requests import (
@@ -264,15 +264,25 @@ class TestKernelApplyDelta:
             raise
 
 
+def _survival_by_row(prov):
+    """A kernel's survival-index content keyed by row and source tuple —
+    free of slot order and of the interning index it was built over."""
+    state = prov._survival_index()
+    decode = prov.index.decode
+    wits = {
+        state.rows[slot]: frozenset(frozenset(map(decode, w)) for w in ws)
+        for slot, ws in enumerate(state.wits)
+        if ws
+    }
+    touched = {
+        decode(bit): frozenset(state.rows[slot] for slot in slots)
+        for bit, slots in state.touched.items()
+    }
+    return wits, touched
+
+
 class TestDerivedCachePatching:
-    def test_warm_caches_patched_match_fresh(self):
-        db = _base_db()
-        query = JOIN_QUERY
-        prov = bitset_why_provenance(query, db)
-        # Warm both derived caches (segmented witnesses + inverted index).
-        probe = prov.encode_deletions_segmented(frozenset({("R", (1, 2))}))
-        prov.surviving_rows(probe)
-        assert prov._seg_witnesses is not None and prov._touched is not None
+    def _delta(self, prov, db):
         vdb = VersionedDatabase(db)
         delta = vdb.apply_delta(
             deletions=[("R", (3, 4)), ("S", (2, 7))],
@@ -285,43 +295,79 @@ class TestDerivedCachePatching:
             vdb.db,
             deleted_sources=delta.deletions,
             inserted_by_name=inserted_by,
-            query=query,
+            query=JOIN_QUERY,
         )
-        # The patch carried the warm caches over.
-        assert patched._seg_witnesses is not None
-        assert patched._touched is not None
-        fresh = bitset_why_provenance(query, vdb.db, index=prov.index)
-        fresh_seg = fresh._segmented_witnesses()
-        fresh_touched = fresh._touched_rows()
-        assert set(patched._seg_witnesses) == set(fresh_seg)
-        for row, masks in fresh_seg.items():
-            got = patched._seg_witnesses[row]
-            assert [m.to_int() for m in got] == [m.to_int() for m in masks]
-        assert {
-            bit: frozenset(rows) for bit, rows in patched._touched.items()
-        } == {bit: frozenset(rows) for bit, rows in fresh_touched.items()}
-        # And warm-probe answers through those caches stay identical.
-        for cand in ([("R", (1, 2))], [("S", (4, 8))], [("R", (8, 5))]):
-            mask = patched.encode_deletions_segmented(frozenset(cand))
-            assert patched.surviving_rows(mask) == fresh.surviving_rows(
-                fresh.encode_deletions_segmented(frozenset(cand))
-            )
+        return patched, vdb.db
+
+    def test_warm_caches_patched_match_fresh(self, monkeypatch):
+        db = _base_db()
+        prov = bitset_why_provenance(JOIN_QUERY, db)
+        # One probe warms the survival index.
+        prov.surviving_rows(
+            prov.encode_deletions_auto(frozenset({("R", (1, 2))}))
+        )
+        warm = prov._survival
+        assert warm is not None
+        before = _survival_by_row(prov)
+        # From here on a rebuild would be a bug: the write must patch.
+        monkeypatch.setattr(
+            SurvivalIndex,
+            "build",
+            classmethod(lambda cls, table: pytest.fail("index was rebuilt")),
+        )
+        patched, new_db = self._delta(prov, db)
+        assert patched._survival is not None and patched._survival is not warm
+        candidates = ([("R", (1, 2))], [("S", (4, 8))], [("R", (8, 5))])
+        got = [
+            patched.surviving_rows(patched.encode_deletions_auto(frozenset(c)))
+            for c in candidates
+        ]
+        monkeypatch.undo()
+        # The original kernel's index is untouched.
+        assert prov._survival is warm and _survival_by_row(prov) == before
+        fresh = bitset_why_provenance(JOIN_QUERY, new_db, index=prov.index)
+        assert _survival_by_row(patched) == _survival_by_row(fresh)
+        assert got == [
+            fresh.surviving_rows(fresh.encode_deletions_auto(frozenset(c)))
+            for c in candidates
+        ]
 
     def test_cold_kernel_skips_cache_patch(self):
         db = _base_db()
         prov = bitset_why_provenance(JOIN_QUERY, db)
-        assert prov._seg_witnesses is None  # never probed: cold
-        new_db = db.apply([("R", (1, 2))], [])
-        patched = prov.apply_delta(new_db, deleted_sources=[("R", (1, 2))])
-        assert patched._seg_witnesses is None  # stays lazily cold
+        assert prov._survival is None  # never probed: cold
+        patched, new_db = self._delta(prov, db)
+        assert patched._survival is None  # stays lazily cold
+        assert prov._survival is None
         _assert_kernels_equal(patched, bitset_why_provenance(JOIN_QUERY, new_db))
+
+    def test_delete_reinsert_cycles_reuse_slots(self):
+        db = _base_db()
+        kernel = bitset_why_provenance(JOIN_QUERY, db)
+        kernel.surviving_rows(kernel.encode_deletions_auto([("S", (2, 7))]))
+        slots = len(kernel._survival.rows)
+        source = ("R", (1, 2))
+        for _ in range(5):
+            for removed, added in (([source], []), ([], [source])):
+                db = db.apply(removed, added)
+                kernel = kernel.apply_delta(
+                    db,
+                    deleted_sources=removed,
+                    inserted_by_name={"R": [source[1]]} if added else None,
+                    query=JOIN_QUERY,
+                )
+                assert kernel._survival is not None
+        assert len(kernel._survival.rows) == slots
+        assert _survival_by_row(kernel) == _survival_by_row(
+            bitset_why_provenance(JOIN_QUERY, db, index=kernel.index)
+        )
 
 
 class TestWitnessTableSegmentBoundary:
     def test_delta_across_segment_boundary(self):
-        # Interning > SEGMENT_BITS sources pushes witness bits past the
-        # first 512-bit segment; drops on both sides must stay exact.
-        n = SEGMENT_BITS + 40
+        # Interning > 512 sources puts witness bits on both sides of id
+        # 512; drops on both sides must stay exact.
+        n = 512 + 40
         db = Database(
             [
                 Relation("R", ("a", "b"), [(i, i % 7) for i in range(n)]),
@@ -330,7 +376,7 @@ class TestWitnessTableSegmentBoundary:
         )
         query = JOIN_QUERY
         prov = bitset_why_provenance(query, db)
-        assert len(prov.index) > SEGMENT_BITS
+        assert len(prov.index) > 512
         removed = [("R", (0, 0)), ("R", (n - 1, (n - 1) % 7)), ("S", (3, 103))]
         added = [("R", (n + 5, 3)), ("S", (2, 777))]
         vdb = VersionedDatabase(db)
@@ -389,8 +435,10 @@ def _run_interleaving(ops):
             ] + [frozenset({("S", s)}) for s in _S_ROWS[:2]]
             for cand in candidates:
                 assert kernel.surviving_rows(
-                    kernel.encode_deletions(cand)
-                ) == fresh.surviving_rows(fresh.encode_deletions(cand))
+                    kernel.encode_deletions_auto(cand)
+                ) == fresh.surviving_rows(fresh.encode_deletions_auto(cand))
+            # the warm index, patched across every write, matches too
+            assert _survival_by_row(kernel) == _survival_by_row(fresh)
             continue
         removed = [("R" if op == "del_r" else "S", row)] if op.startswith("del") else []
         added = [("R" if op == "ins_r" else "S", row)] if op.startswith("ins") else []
@@ -490,7 +538,7 @@ class TestSnapshotStaleness:
     def test_thread_backend_stale_mmap_refused(self):
         db = _base_db()
         prov, snap = _stamped_snapshot(db, JOIN_QUERY, epoch=1)
-        masks = [prov.encode_deletions(frozenset({("R", (1, 2))})), 0, 3]
+        masks = [prov.encode_deletions_auto(frozenset({("R", (1, 2))})), 0, 3]
         expected = sharded_destroyed_indices(snap, masks, workers=1)
         executor._ATTACHED.clear()
         got = sharded_destroyed_indices(
@@ -514,7 +562,7 @@ class TestSnapshotStaleness:
         prov, snap = _stamped_snapshot(db, JOIN_QUERY, epoch=1)
         path = str(tmp_path / "snap.flat")
         snap.write_file(path)
-        masks = [prov.encode_deletions(frozenset({("R", (1, 2))})), 0]
+        masks = [prov.encode_deletions_auto(frozenset({("R", (1, 2))})), 0]
         ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(1) as pool:
             ok = pool.map(_run_chunk_mmap, [(path, masks, snap.version)])
@@ -536,8 +584,6 @@ class TestSnapshotStaleness:
         _, snap = _stamped_snapshot(_base_db(), JOIN_QUERY, epoch=3)
         clone = pickle.loads(pickle.dumps(snap))
         assert clone.version == DatabaseVersion("db", 3)
-        restricted = snap.restrict([0])
-        assert restricted.version == DatabaseVersion("db", 3)
 
 
 # ----------------------------------------------------------------------
@@ -851,3 +897,62 @@ class TestOracleRebase:
         assert rebased.rows == fresh.rows
         probe = frozenset({("R", (3, 4))})
         assert rebased.view_after(probe) == fresh.view_after(probe)
+
+
+class TestServingPathStaysWarm:
+    """Through the engine: probes never build the int-mask view, and a
+    write patches the warm survival index instead of rebuilding it."""
+
+    QUERY = "PROJECT[a, c](R JOIN S)"
+
+    def _kernels(self, engine):
+        return [
+            oracle.provenance.kernel
+            for oracle in engine._oracles.values()
+            if oracle.provenance is not None
+        ]
+
+    def test_probe_write_probe(self, monkeypatch):
+        from repro.provenance.witness_table import WitnessTable
+
+        probes = [
+            HypotheticalRequest("db", self.QUERY, frozenset({("R", (1, 2))})),
+            HypotheticalRequest("db", self.QUERY, frozenset({("S", (4, 8))})),
+        ]
+        writes = [
+            ApplyDeltaRequest("db", deletions=frozenset({("R", (3, 4))})),
+            ApplyDeltaRequest("db", inserts=frozenset({("R", (3, 4))})),
+        ]
+        with ServiceEngine({"db": _base_db()}) as engine:
+            for probe in probes:
+                assert engine.execute(probe).ok
+            (kernel,) = self._kernels(engine)
+            assert kernel._survival is not None
+            monkeypatch.setattr(
+                SurvivalIndex,
+                "build",
+                classmethod(lambda cls, t: pytest.fail("index was rebuilt")),
+            )
+            for write in writes:
+                with monkeypatch.context() as m:
+                    if not write.inserts:
+                        # A delete and the probes after it never need the
+                        # int-mask view; only the insert merge decodes.
+                        m.setattr(
+                            WitnessTable,
+                            "to_masks",
+                            lambda self: pytest.fail("to_masks() on a probe"),
+                        )
+                    assert engine.execute(write).ok
+                    answers = [engine.execute(p) for p in probes]
+                (kernel,) = self._kernels(engine)
+                assert kernel._survival is not None
+                db = engine.database("db")
+                monkeypatch.undo()
+                with ServiceEngine({"db": db}) as fresh:
+                    assert answers == [fresh.execute(p) for p in probes]
+                monkeypatch.setattr(
+                    SurvivalIndex,
+                    "build",
+                    classmethod(lambda cls, t: pytest.fail("index was rebuilt")),
+                )

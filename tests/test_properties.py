@@ -7,6 +7,7 @@ under test.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algebra import (
@@ -27,12 +28,17 @@ from repro.deletion import (
     verify_plan,
 )
 from repro.errors import InfeasibleError
+from repro.parallel import sharded_destroyed_indices
+from repro.parallel.shards import HAVE_NUMPY
 from repro.provenance import (
     Location,
+    SourceIndex,
     bitset_why_provenance,
+    iter_bits,
     where_provenance,
     why_provenance,
 )
+from repro.provenance.bitset import SHARD_MIN_BATCH
 from repro.workloads import random_instance
 
 seeds = st.integers(min_value=0, max_value=100_000)
@@ -140,6 +146,92 @@ class TestBitsetKernelEquivalence:
         kernel = why_provenance(query, db)
         for row in legacy.rows:
             assert kernel.witness_universe(row) == legacy.witness_universe(row)
+
+
+def _padded_kernel(query, db, pad):
+    """The bitset kernel over an index whose first ``pad`` ids are foreign
+    tuples, so every witness bit sits at or above ``pad``."""
+    index = SourceIndex()
+    for i in range(pad):
+        index.intern(("__pad__", (i,)))
+    return bitset_why_provenance(query, db, index=index)
+
+
+class TestOneSurvivalKernel:
+    """Every survival answer — serial kernel, both chunk kernels, either
+    deletion form — equals re-interpreting the query over ``db.delete(T)``.
+
+    The oracle is :func:`interpret_view_rows`, which shares no code with
+    the witness tables.  Padded universes put the witness bits above id
+    2048, where the retired segmented masks used to take over.
+    """
+
+    @pytest.mark.parametrize("pad", [0, 2049, 4100])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=seeds)
+    def test_padded_universes_match_reinterpretation(self, pad, seed):
+        db, query = random_instance(seed, max_depth=3)
+        kernel = _padded_kernel(query, db, pad)
+        rng = random.Random(seed)
+        deletion_sets = _random_deletion_sets(db, rng, count=5)
+        ids = [kernel.encode_deletions_auto(d) for d in deletion_sets]
+        masks = [kernel.index.encode(d) for d in deletion_sets]
+        expected = [
+            interpret_view_rows(query, db.delete(d)) for d in deletion_sets
+        ]
+        for d, encoded, mask in zip(deletion_sets, ids, masks):
+            # The one encoding: ascending interned ids, all >= pad.
+            assert encoded == tuple(iter_bits(mask))
+            assert all(bit >= pad for bit in encoded)
+        assert kernel.batch_surviving_rows(ids) == expected
+        assert kernel.batch_surviving_rows(masks) == expected
+        for encoded, mask, after in zip(ids, masks, expected):
+            assert kernel.surviving_rows(encoded) == after
+            for row in kernel.rows:
+                assert kernel.survives_mask(row, encoded) == (row in after)
+                assert kernel.survives_mask(row, mask) == (row in after)
+
+    @pytest.mark.parametrize("force_python", [True, False])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=seeds, pad=st.sampled_from([0, 2049]))
+    def test_chunk_kernels_match_reinterpretation(self, force_python, seed, pad):
+        """Both chunk kernels, below and above SHARD_MIN_BATCH, with
+        vectors mixing bit-id tuples and int masks."""
+        if not force_python and not HAVE_NUMPY:
+            pytest.skip("the numpy chunk kernel needs numpy and scipy")
+        db, query = random_instance(seed, max_depth=3)
+        kernel = _padded_kernel(query, db, pad)
+        baseline = frozenset(kernel.relation().rows)
+        rng = random.Random(seed + 5)
+        distinct = _random_deletion_sets(db, rng, count=6)
+        destroyed = [
+            baseline - interpret_view_rows(query, db.delete(d))
+            for d in distinct
+        ]
+        snapshot = kernel._shard_snapshot()
+        for length in (SHARD_MIN_BATCH - 1, SHARD_MIN_BATCH + 5):
+            picks = [i % len(distinct) for i in range(length)]
+            vector = [
+                kernel.encode_deletions_auto(distinct[k])
+                if i % 2
+                else kernel.index.encode(distinct[k])
+                for i, k in enumerate(picks)
+            ]
+            expected = [destroyed[k] for k in picks]
+            for workers, chunk_size in ((1, None), (3, 17)):
+                answers = sharded_destroyed_indices(
+                    snapshot,
+                    vector,
+                    workers,
+                    backend="thread",
+                    chunk_size=chunk_size,
+                    force_python=force_python,
+                )
+                assert [
+                    frozenset(snapshot.rows[i] for i in ans) for ans in answers
+                ] == expected
+            assert kernel.batch_destroyed(vector) == expected
+            assert kernel.batch_destroyed(vector, workers=2) == expected
 
 
 class TestCompiledPlanEquivalence:

@@ -140,7 +140,7 @@ class TestBitsetProvenance:
         for target in kernel.rows:
             for source in db.all_source_tuples():
                 deletions = frozenset({source})
-                mask = kernel.encode_deletions(deletions)
+                mask = kernel.index.encode(deletions)
                 assert kernel.survives_mask(target, mask) == legacy.survives(
                     target, deletions
                 )

@@ -574,3 +574,120 @@ class TestScaledServingEquivalence:
                     assert frozenset(response.destroyed) == (
                         oracle.rows - oracle.view_after(candidate)
                     )
+
+
+class TestServerAnswersEveryLine:
+    def test_malformed_deletions_nan_timeout_and_deep_query(self, engine, db):
+        good = encode_request(EvaluateRequest("db", QUERY))
+        good["id"] = 4
+        deep = "(" * 3000 + "UserGroup" + ")" * 3000
+        lines = [
+            json.dumps(
+                {"id": 1, "kind": "hypothetical", "database": "db",
+                 "query": QUERY, "deletions": "zz"}
+            ),
+            # json.dumps writes NaN as the bare literal json.loads accepts.
+            json.dumps(dict(good, id=2, timeout_ms=float("nan"))),
+            json.dumps(
+                {"id": 3, "kind": "hypothetical", "database": "db",
+                 "query": deep, "deletions": []}
+            ),
+            json.dumps(good),
+        ]
+        raw = _run_server_session(engine, lines)
+        assert len(raw) == 4
+        by_id = {r["id"]: r for r in raw}
+        assert sorted(by_id) == [1, 2, 3, 4]
+        assert not by_id[1]["ok"] and "relation, row" in by_id[1]["error"]
+        assert not by_id[2]["ok"] and "timeout_ms" in by_id[2]["error"]
+        assert not by_id[3]["ok"]
+        assert by_id[4]["ok"]
+
+    def test_unexpected_error_still_answers_and_counts(self, engine, monkeypatch):
+        from repro.service import server as server_module
+
+        def boom(payload):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(server_module, "decode_request", boom)
+        envelope = dict(encode_request(EvaluateRequest("db", QUERY)), id=5)
+
+        async def session():
+            server = ServiceServer(engine, max_requests=1)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write((json.dumps(envelope) + "\n").encode())
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.readline(), timeout=15)
+            await asyncio.wait_for(server.wait_closed(), timeout=10)
+            writer.close()
+            await server.aclose()
+            return json.loads(raw), server.requests_served
+
+        raw, served = asyncio.run(session())
+        assert raw["id"] == 5 and not raw["ok"]
+        assert "internal error: RuntimeError: boom" in raw["error"]
+        assert served == 1
+
+    @pytest.mark.parametrize(
+        "deletions",
+        ["zz", 5, [["R"]], [[1, [2]]], [["R", "ab"]], [["R", [[1]]]], None],
+    )
+    def test_decode_rejects_non_pair_deletions(self, deletions):
+        payload = {"kind": "hypothetical", "database": "db", "query": QUERY,
+                   "deletions": deletions}
+        with pytest.raises(ServiceError):
+            decode_request(payload)
+        with pytest.raises(ServiceError):
+            decode_request(dict(payload, kind="apply_delta"))
+
+    def test_connection_holds_only_pending_tasks(self, engine):
+        import gc
+        import weakref
+
+        from repro.service import server as server_module
+
+        refs = []
+        original = server_module.ServiceServer._serve_line
+
+        async def recording(self, *args):
+            refs.append(weakref.ref(asyncio.current_task()))
+            await original(self, *args)
+
+        requests = 60
+
+        async def session():
+            server = ServiceServer(engine, max_requests=requests)
+            server._serve_line = recording.__get__(server)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            envelope = encode_request(EvaluateRequest("db", QUERY))
+            live = []
+            for i in range(requests):
+                writer.write((json.dumps(dict(envelope, id=i)) + "\n").encode())
+                await writer.drain()
+                raw = await asyncio.wait_for(reader.readline(), timeout=15)
+                assert json.loads(raw)["ok"]
+                await asyncio.sleep(0)  # let the finished task's callbacks run
+                gc.collect()
+                live.append(sum(ref() is not None for ref in refs))
+            await asyncio.wait_for(server.wait_closed(), timeout=10)
+            writer.close()
+            await server.aclose()
+            return live, server.requests_served
+
+        live, served = asyncio.run(session())
+        # One request in flight at a time: finished tasks are released,
+        # so the handler never holds more than a couple alive.
+        assert served == requests
+        assert max(live) <= 2, live
+
+    @pytest.mark.parametrize(
+        "timeout_ms", [float("nan"), float("inf"), float("-inf"), "5", True]
+    )
+    def test_non_finite_or_non_numeric_timeout_is_rejected(self, engine, timeout_ms):
+        envelope = dict(encode_request(EvaluateRequest("db", QUERY)), id=7)
+        envelope["timeout_ms"] = timeout_ms
+        (raw,) = _run_server_session(engine, [json.dumps(envelope)])
+        assert raw["id"] == 7 and not raw["ok"]
+        assert "timeout_ms must be a finite number" in raw["error"]

@@ -61,7 +61,7 @@ def _mask_vector(kernel, db, target, extra: int, seed: int):
     for _ in range(extra):
         size = rng.randint(1, min(4, len(universe)))
         deletion_sets.append(frozenset(rng.sample(universe, size)))
-    return [kernel.encode_deletions(d) for d in deletion_sets]
+    return [kernel.index.encode(d) for d in deletion_sets]
 
 
 WORKLOADS = {
@@ -187,7 +187,7 @@ class TestShardedEquivalence:
         db, query, target = spu_workload(10, seed=8)
         kernel = why_provenance(query, db).kernel
         high = 1 << (len(kernel.index) + 64)
-        masks = [high, high | kernel.encode_deletions(
+        masks = [high, high | kernel.index.encode(
             frozenset({db.all_source_tuples()[0]})
         )] * SHARD_MIN_BATCH
         assert kernel.batch_destroyed(masks, workers=2) == (
@@ -203,7 +203,7 @@ class TestShardedEquivalence:
             frozenset(rng.sample(sources, rng.randint(1, 3)))
             for _ in range(SHARD_MIN_BATCH + 20)
         ]
-        masks = [kernel.encode_deletions(d) for d in deletion_sets]
+        masks = [kernel.index.encode(d) for d in deletion_sets]
         flat = [kernel.index.encode_ids(d) for d in deletion_sets]
         for workers in (1, 2, 4):
             assert kernel.batch_destroyed(flat, workers=workers) == (
@@ -237,8 +237,8 @@ class TestShardedEquivalence:
         )
         # And with numpy reported missing entirely.
         monkeypatch.setattr(shards_module, "HAVE_NUMPY", False)
-        fresh = ShardSnapshot.from_witnesses(
-            kernel._witnesses, len(kernel.index)
+        fresh = ShardSnapshot.from_witness_table(
+            kernel._table, len(kernel.index)
         )
         assert sharded_destroyed_indices(fresh, masks, 2) == expected
 
@@ -271,7 +271,7 @@ class TestShardedEquivalence:
             if not sources:
                 continue
             masks = [
-                kernel.encode_deletions(
+                kernel.index.encode(
                     frozenset(rng.sample(sources, rng.randint(1, min(3, len(sources)))))
                 )
                 for _ in range(25)
@@ -463,8 +463,112 @@ class TestSnapshotAgainstEmptyView:
         from repro.algebra.parser import parse_query
 
         kernel = why_provenance(parse_query("R JOIN S"), db).kernel
-        masks = [kernel.encode_deletions(frozenset({("R", (1,))})), 0]
+        masks = [kernel.index.encode(frozenset({("R", (1,))})), 0]
         assert kernel.batch_destroyed(masks, workers=4) == (
             kernel.batch_destroyed(masks)
         )
         assert kernel.batch_destroyed(masks) == [frozenset(), frozenset()]
+
+
+class TestIntAndIdDeletionForms:
+    """Folded from the retired segmented-mask suite: every public survival
+    method answers an int mask and its ascending id tuple identically, on
+    the serial kernel and the sharded one, with the numpy chunk kernel and
+    the pure-Python one."""
+
+    @pytest.fixture(params=["spu", "sj"])
+    def kernel_db(self, request):
+        if request.param == "spu":
+            db, query, target = spu_workload(30, seed=11)
+        else:
+            db, query, target = sj_workload(18, seed=12)
+        return why_provenance(query, db).kernel, db, tuple(target)
+
+    @pytest.fixture(params=["numpy", "python"])
+    def force_python(self, request):
+        """Whether the chunk kernel is pinned to its pure-Python form."""
+        return request.param == "python"
+
+    def _deletion_sets(self, db, seed, n):
+        rng = random.Random(seed)
+        sources = db.all_source_tuples()
+        sets = [frozenset({s}) for s in sources[:10]]
+        for _ in range(n):
+            sets.append(
+                frozenset(rng.sample(sources, rng.randint(1, min(4, len(sources)))))
+            )
+        return sets
+
+    def test_serial_answers_match(self, kernel_db, force_python):
+        kernel, db, target = kernel_db
+        snapshot = kernel._shard_snapshot()
+        all_rows = frozenset(kernel.rows)
+        for dels in self._deletion_sets(db, seed=21, n=30):
+            ids = kernel.encode_deletions_auto(dels)
+            mask = kernel.index.encode(dels)
+            for row in kernel.rows:
+                assert kernel.survives_mask(row, ids) == kernel.survives_mask(
+                    row, mask
+                )
+            assert kernel.side_effects_mask(target, ids) == (
+                kernel.side_effects_mask(target, mask)
+            )
+            survivors = kernel.surviving_rows(ids)
+            assert survivors == kernel.surviving_rows(mask)
+            by_ids = snapshot.destroyed_indices_chunk(
+                [ids], 0, 1, force_python=force_python
+            )
+            by_mask = snapshot.destroyed_indices_chunk(
+                [mask], 0, 1, force_python=force_python
+            )
+            assert by_ids == by_mask
+            destroyed = frozenset(snapshot.rows[i] for i in by_ids[0])
+            assert all_rows - destroyed == survivors
+
+    def test_batch_answers_match(self, kernel_db, force_python):
+        kernel, db, target = kernel_db
+        sets = self._deletion_sets(db, seed=22, n=SHARD_MIN_BATCH)
+        ids = [kernel.encode_deletions_auto(d) for d in sets]
+        masks = [kernel.index.encode(d) for d in sets]
+        expected = kernel.batch_surviving_rows(masks)
+        for workers in (None, 2):
+            assert kernel.batch_surviving_rows(ids, workers=workers) == expected
+            assert kernel.batch_side_effects_mask(
+                target, ids, workers=workers
+            ) == kernel.batch_side_effects_mask(target, masks)
+        snapshot = kernel._shard_snapshot()
+        by_ids = sharded_destroyed_indices(
+            snapshot, ids, 2, backend="thread", force_python=force_python
+        )
+        assert by_ids == sharded_destroyed_indices(
+            snapshot, masks, 2, backend="thread", force_python=force_python
+        )
+        all_rows = frozenset(kernel.rows)
+        assert [
+            all_rows - frozenset(snapshot.rows[i] for i in indices)
+            for indices in by_ids
+        ] == expected
+
+
+class TestMmapOnHostsWithoutFork:
+    def test_process_backend_ships_the_mmap_path(self, monkeypatch):
+        from repro.parallel import close_pools, executor
+
+        db, query, target = sj_workload(15, seed=10)
+        kernel = why_provenance(query, db).kernel
+        masks = _mask_vector(kernel, db, target, extra=20, seed=10)
+        snapshot = kernel._shard_snapshot()
+        serial = sharded_destroyed_indices(snapshot, masks, 1)
+        assert snapshot._mmap_path is None
+        monkeypatch.setattr(
+            executor.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        try:
+            got = sharded_destroyed_indices(
+                snapshot, masks, 2, backend="process", chunk_size=10
+            )
+        finally:
+            close_pools()
+        assert got == serial
+        # The snapshot travelled as a file path, not as a pickle.
+        assert snapshot._mmap_path is not None

@@ -4,8 +4,8 @@
 executor's ``row -> minimized mask tuple`` table as three flat arrays.  The
 invariant every test here circles: whatever the container kind (numpy
 arrays from the vectorized kernels, lists from the forced pure-Python
-path), whatever the bit positions (including ids straddling 512-bit
-segment boundaries), and whatever the transport (pickle, flat file, mmap),
+path), whatever the bit positions (including ids past 512 and 1024),
+and whatever the transport (pickle, flat file, mmap),
 the table decodes to exactly the dict-of-int-masks oracle the tuple
 executor produces — element for element, not just as sets.
 """
@@ -24,14 +24,13 @@ from repro.algebra.relation import Database, Relation
 from repro.columnar import ColumnStore, columnar_annotated_table, set_force_python
 from repro.parallel import ShardSnapshot
 from repro.provenance import (
-    SegmentedMask,
     SourceIndex,
+    SurvivalIndex,
     WitnessTable,
     bitset_why_provenance,
     provenance_cache,
-    segmented_from_bit_runs,
+    iter_bits,
 )
-from repro.provenance import segmask as segmask_mod
 from repro.service import HypotheticalRequest, ServiceEngine
 from repro.workloads import random_instance
 
@@ -91,6 +90,22 @@ def _assert_matches_oracle(table, oracle):
     assert WitnessTable.from_masks(masks).as_lists() == (ro, wo, bits)
 
 
+def _assert_survival_index_matches(table, oracle):
+    """SurvivalIndex.build(table) == the bit runs of the oracle's masks."""
+    state = SurvivalIndex.build(table)
+    assert tuple(state.rows) == table.rows
+    for slot, row in enumerate(table.rows):
+        assert state.wits[slot] == tuple(
+            tuple(iter_bits(mask)) for mask in oracle[row]
+        )
+        assert table.bits_of(row) == state.wits[slot]
+    expected = {}
+    for slot, row in enumerate(table.rows):
+        for bit in set().union(*state.wits[slot]):
+            expected.setdefault(bit, []).append(slot)
+    assert state.touched == {bit: tuple(s) for bit, s in expected.items()}
+
+
 class TestCsrOracleEquivalence:
     """Random (database, query) pairs: CSR table == dict-of-int oracle."""
 
@@ -117,21 +132,14 @@ class TestCsrOracleEquivalence:
 
     @settings(max_examples=30, deadline=None)
     @given(seed=seeds)
-    def test_segmented_view_matches_from_int(self, seed):
-        """segmented_by_row == SegmentedMask.from_int over the oracle,
-        under both the numpy and the pure-Python segmask kernels."""
+    def test_survival_index_matches_oracle(self, seed):
+        """The survival index's per-witness bit tuples are the oracle's
+        masks bit for bit, in order, from numpy and list containers."""
         db, query = random_instance(seed, max_depth=2)
         table, oracle = _table_and_oracle(query, db, level=1)
-        expected = {
-            row: tuple(SegmentedMask.from_int(m) for m in masks)
-            for row, masks in oracle.items()
-        }
-        assert table.segmented_by_row() == expected
-        segmask_mod.set_force_python(True)
-        try:
-            assert table.segmented_by_row() == expected
-        finally:
-            segmask_mod.set_force_python(False)
+        _assert_survival_index_matches(table, oracle)
+        lists = WitnessTable(table.rows, *table.as_lists())
+        _assert_survival_index_matches(lists, oracle)
 
 
 #: Mixed-type columns: 1/1.0/True collapse under dict equality, NaN is
@@ -177,7 +185,7 @@ class TestMixedTypeColumns:
 
 
 class TestSegmentBoundaries:
-    """Bit ids straddling the 512-bit segment seams decode exactly."""
+    """Bit ids straddling multiples of 512 decode and index exactly."""
 
     def _padded_instance(self, pad):
         """A tiny query whose source bits start at ``pad`` in the index."""
@@ -199,12 +207,7 @@ class TestSegmentBoundaries:
         table, oracle = _table_and_oracle(query, db, level=1, index=index)
         _assert_matches_oracle(table, oracle)
         assert max(table.as_lists()[2]) >= pad
-        segs = table.segmented_by_row()
-        expected = {
-            row: tuple(SegmentedMask.from_int(m) for m in masks)
-            for row, masks in oracle.items()
-        }
-        assert segs == expected
+        _assert_survival_index_matches(table, oracle)
 
     @pytest.mark.parametrize("pad", [511, 512])
     def test_straddling_ids_forced_python(self, pad, force_python):
@@ -213,14 +216,24 @@ class TestSegmentBoundaries:
         _assert_matches_oracle(table, oracle)
 
     def test_bit_runs_builder_matches_from_bits(self):
-        offsets = [0, 3, 3, 5, 8]
+        """The survival index splits the flat bit runs per witness and
+        groups the witnesses per row, whatever the container."""
+        row_offsets = [0, 2, 4]
+        wit_offsets = [0, 3, 3, 5, 8]
         bits = [0, 511, 512, 1, 1023, 510, 511, 513]
-        out = segmented_from_bit_runs(offsets, bits)
-        expected = [
-            SegmentedMask.from_bits(bits[offsets[w] : offsets[w + 1]])
-            for w in range(len(offsets) - 1)
-        ]
-        assert out == expected
+        expected = [((0, 511, 512), ()), ((1, 1023), (510, 511, 513))]
+        containers = [list]
+        if HAVE_NUMPY:
+            containers.append(lambda v: np.asarray(v, dtype=np.int64))
+        for wrap in containers:
+            table = WitnessTable(
+                ("a", "b"), wrap(row_offsets), wrap(wit_offsets), wrap(bits)
+            )
+            state = SurvivalIndex.build(table)
+            assert state.wits == expected
+            # Row "a" has an empty witness: no deletion can destroy it.
+            assert state.destroyed((0, 1, 511)) == [1]
+            assert state.destroyed((512,)) == []
 
 
 class TestDerivedViews:
@@ -231,24 +244,21 @@ class TestDerivedViews:
         for row, masks in oracle.items():
             seen = set()
             for mask in masks:
-                while mask:
-                    low = mask & -mask
-                    seen.add(low.bit_length() - 1)
-                    mask ^= low
+                seen.update(iter_bits(mask))
             for bit in seen:
-                expected.setdefault(bit, []).append(row)
+                expected.setdefault(bit, set()).add(row)
         got = table.touched_rows()
-        assert {b: set(rows) for b, rows in got.items()} == {
-            b: set(rows) for b, rows in expected.items()
-        }
+        # Row indices, ascending, into table.rows.
+        assert all(list(ids) == sorted(set(ids)) for ids in got.values())
+        assert {
+            b: {table.rows[i] for i in ids} for b, ids in got.items()
+        } == expected
 
     def test_touched_rows_python_matches_numpy(self):
         db, query = random_instance(11, max_depth=3)
         table, _ = _table_and_oracle(query, db, level=1)
         as_lists = WitnessTable(table.rows, *table.as_lists())
-        assert {b: set(r) for b, r in table.touched_rows().items()} == {
-            b: set(r) for b, r in as_lists.touched_rows().items()
-        }
+        assert table.touched_rows() == as_lists.touched_rows()
 
     def test_contains_and_sizes(self):
         db, query = random_instance(5, max_depth=2)
@@ -285,27 +295,11 @@ class TestRoundTrips:
         store = ColumnStore(db)
         prov = bitset_why_provenance(query, db, store=store)
         snap = prov._shard_snapshot()
-        assert snap._flat_bits is not None  # CSR-backed, no masks built
+        assert snap._table is prov._table  # adopted, not re-encoded
         clone = pickle.loads(pickle.dumps(snap))
         assert clone.rows == snap.rows
-        assert clone._masks() == snap._masks()
-
-    def test_snapshot_old_pickle_state(self):
-        """5-/6-tuple states from older pickles still restore."""
-        db, query = random_instance(23, max_depth=2)
-        prov = bitset_why_provenance(query, db)
-        snap = prov._shard_snapshot()
-        state = snap.__getstate__()
-        assert len(state) == 7
-        for old in (
-            (state[0], state[1], state[2], snap._masks(), state[4]),
-            (state[0], state[1], state[2], snap._masks(), state[4], None),
-        ):
-            clone = ShardSnapshot.__new__(ShardSnapshot)
-            clone.__setstate__(old)
-            assert clone.rows == snap.rows
-            assert clone._masks() == snap._masks()
-            assert clone.version is None
+        assert clone._table.as_lists() == snap._table.as_lists()
+        assert clone._table.to_masks() == snap._table.to_masks()
 
     def test_snapshot_mmap_round_trip(self, tmp_path):
         db, query = random_instance(23, max_depth=3)
@@ -353,3 +347,86 @@ class TestBuildCounters:
             assert stats["witness_count"] >= 1
             assert stats["witness_build_seconds"] >= 0.0
             assert stats["cache"]["witness_builds"] >= 1
+
+
+class TestPointLookups:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=seeds)
+    def test_bits_and_masks_of_match_oracle(self, seed):
+        db, query = random_instance(seed, max_depth=3)
+        built, oracle = _table_and_oracle(query, db, level=1)
+        # A fresh table over the same arrays: no cached int-mask view.
+        table = WitnessTable(
+            built.rows, built.row_offsets, built.wit_offsets, built.bit_ids
+        )
+        for row, masks in oracle.items():
+            assert table.masks_of(row) == masks
+            assert table.bits_of(row) == tuple(
+                tuple(iter_bits(m)) for m in masks
+            )
+        assert table.bits_of(("no", "such", "row")) is None
+        assert table.masks_of(("no", "such", "row")) is None
+        assert table._masks is None  # point lookups never build to_masks()
+
+
+class TestSurvivalIndexPatch:
+    """SurvivalIndex.patched == SurvivalIndex.build over the patched table."""
+
+    @staticmethod
+    def _by_row(state):
+        wits = {
+            state.rows[slot]: ws for slot, ws in enumerate(state.wits) if ws
+        }
+        touched = {
+            bit: frozenset(state.rows[slot] for slot in slots)
+            for bit, slots in state.touched.items()
+        }
+        return wits, touched
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, data=st.data())
+    def test_patch_matches_rebuild(self, seed, data):
+        db, query = random_instance(seed, max_depth=3)
+        table, oracle = _table_and_oracle(query, db, level=1)
+        state = SurvivalIndex.build(table)
+        bits = sorted(set(table.as_lists()[2]))
+        deleted = data.draw(
+            st.lists(st.sampled_from(bits), max_size=3) if bits else st.just([])
+        )
+        after_drop = table.drop_bits(deleted)
+        rows = list(after_drop.rows)
+        # Rewrite some surviving rows (a subset of their witnesses) and
+        # remove one, as the insert merge does.
+        updates = {}
+        for row in rows[:2]:
+            updates[row] = after_drop.masks_of(row)[:1]
+        if len(rows) > 2:
+            updates[rows[2]] = ()
+        final = after_drop.merge_rows(updates)
+        patched = state.patched(deleted, updates)
+        assert self._by_row(patched) == self._by_row(SurvivalIndex.build(final))
+        # The original index is untouched.
+        assert self._by_row(state) == self._by_row(SurvivalIndex.build(table))
+
+
+class TestSurvivalKernel:
+    """A row is destroyed iff every one of its witnesses meets the ids."""
+
+    #: a: {0, 1};  b: {2} or {1, 3};  c: {4}
+    TABLE = (("a",), ("b",), ("c",)), [0, 1, 3, 4], [0, 2, 3, 5, 6], [0, 1, 2, 1, 3, 4]
+
+    @pytest.mark.parametrize(
+        "ids, destroyed",
+        [
+            ((), []),
+            ((9,), []),  # an id no witness mentions
+            ((0,), [0]),
+            ((2,), []),  # b keeps {1, 3}
+            ((2, 3), [1]),
+            ((1, 2), [0, 1]),
+            ((4, 0, 2, 1), [0, 1, 2]),  # order does not matter
+        ],
+    )
+    def test_destroyed(self, ids, destroyed):
+        table = WitnessTable(*self.TABLE)
+        assert sorted(SurvivalIndex.build(table).destroyed(ids)) == destroyed
