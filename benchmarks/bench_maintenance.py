@@ -44,7 +44,6 @@ from typing import Dict, List, Tuple
 
 import pytest
 
-from repro.columnar import set_force_python
 from repro.provenance import provenance_cache
 from repro.service import HypotheticalRequest, ServiceEngine
 from repro.workloads import (
@@ -254,19 +253,6 @@ def test_maintenance_matches_rebuild_smoke(benchmark, name):
     """bench-smoke: tiny apply_delta-vs-re-registration equivalence."""
     db, query = build_smoke_instances()[name]
     entry = _measure_family(name, db, query, n_deltas=3)
-    assert entry["match"], entry
-    benchmark(lambda: None)
-
-
-@pytest.mark.bench_smoke
-def test_maintenance_pure_python_smoke(benchmark):
-    """bench-smoke: the same equivalence on the forced pure-Python path."""
-    db, query = spu_workload(200, seed=2)[:2]
-    set_force_python(True)
-    try:
-        entry = _measure_family("smoke_maint_py", db, query, n_deltas=3)
-    finally:
-        set_force_python(False)
     assert entry["match"], entry
     benchmark(lambda: None)
 

@@ -5,7 +5,7 @@ Two ablations over the largest instances of the Table 1 / Table 2 harnesses
 
 1. **interpreter vs compiled** — evaluating the query over the base database
    plus a handful of hypothetical deletion variants, with the seed recursive
-   interpreter (:func:`repro.algebra.evaluate.interpret_view_rows`, which
+   interpreter (:func:`repro.oracle.interpret_view_rows`, which
    re-resolves schemas/positions per call) versus the compiled physical plan
    (:mod:`repro.algebra.plan`, compiled once through the shared plan memo).
 
@@ -33,8 +33,9 @@ from typing import Callable, Dict, List, Tuple
 
 import pytest
 
-from repro.algebra.evaluate import interpret_view_rows, view_rows
+from repro.algebra.evaluate import view_rows
 from repro.deletion import HypotheticalDeletions
+from repro.oracle import interpret_view_rows
 from repro.provenance import provenance_cache
 from repro.provenance.cache import cached_plan
 from repro.workloads import sj_workload, spu_workload

@@ -22,12 +22,11 @@ Table 1 and Table 2 harnesses** (``bench_table1_view_side_effect.py`` /
    ``side_effect_free_exists``;
 3. batch-test survival of every view row under random deletion sets.
 
-Transparency entries isolate the evaluator alone (``build_only``), the
-shared-cache dispatch pattern (``shared_cache``), and end-to-end solver
-calls whose cost is dominated by search code identical in both paths
-(``solver_e2e``).  Answers are asserted identical everywhere; results land
-in ``BENCH_provenance.json`` at the repository root with per-entry timings
-and the median speedup.
+Transparency entries isolate the evaluator alone (``build_only``).  The
+seed path is rebuilt from :func:`repro.oracle.legacy_witnesses` (the
+frozenset evaluator) plus the seed's full-view survival scan.  Answers are
+asserted identical everywhere; results land in ``BENCH_provenance.json``
+at the repository root with per-entry timings and the median speedup.
 """
 
 from __future__ import annotations
@@ -40,15 +39,7 @@ from typing import Callable, Dict, List, Tuple
 
 import pytest
 
-from repro.deletion import (
-    count_minimal_translations,
-    delete_view_tuple,
-    enumerate_deletion_plans,
-    exact_source_deletion,
-    minimum_source_deletion,
-    sj_view_deletion,
-    spu_view_deletion,
-)
+from repro.oracle import legacy_witnesses
 from repro.provenance import provenance_cache
 from repro.provenance.why import why_provenance
 from repro.reductions import (
@@ -64,7 +55,6 @@ from repro.workloads import (
     sj_workload,
     spu_workload,
     star_workload,
-    usergroup_workload,
 )
 
 from _report import format_table, time_call, write_report
@@ -79,19 +69,9 @@ Scenario = Tuple[Callable[[], object], Callable[[], object]]
 SURVIVAL_BATCH = 20
 
 
-def _legacy_prov(query, db):
-    """The seed provenance path: frozenset evaluator, computed per call."""
-    return why_provenance(query, db, engine="legacy")
-
-
-def _cold(fn: Callable[[], object]) -> Callable[[], object]:
-    """Run ``fn`` against a cleared cache: the cold-kernel cost."""
-
-    def run():
-        provenance_cache.clear()
-        return fn()
-
-    return run
+def _legacy_survives(witnesses, deletions) -> bool:
+    """The seed survival test: some minimal witness misses ``deletions``."""
+    return any(not (monomial & deletions) for monomial in witnesses)
 
 
 # ----------------------------------------------------------------------
@@ -109,14 +89,21 @@ def _provenance_workload(db, query, target, seed: int = 0) -> Scenario:
     ]
 
     def legacy():
-        prov = _legacy_prov(query, db)
+        table = legacy_witnesses(query, db)
         effects = [
-            prov.side_effects(target, frozenset({s})) for s in candidates
+            frozenset(
+                row
+                for row, witnesses in table.items()
+                if row != target
+                and not _legacy_survives(witnesses, frozenset({s}))
+            )
+            for s in candidates
         ]
+        rows = sorted(table, key=repr)
         survival = [
-            prov.survives(row, dels)
+            _legacy_survives(table[row], dels)
             for dels in deletion_sets
-            for row in prov.rows
+            for row in rows
         ]
         return effects, survival
 
@@ -142,60 +129,11 @@ def _build_only(db, query) -> Scenario:
     """The annotated evaluator alone, decoded at the boundary."""
 
     def legacy():
-        return _legacy_prov(query, db).as_dict()
+        return legacy_witnesses(query, db)
 
     def kernel():
         provenance_cache.clear()
         return why_provenance(query, db).as_dict()
-
-    return legacy, kernel
-
-
-def _solver_e2e(solver, db, query, target) -> Scenario:
-    """An end-to-end solver call (search code identical in both paths)."""
-    legacy = lambda: solver(query, db, target, prov=_legacy_prov(query, db))
-    kernel = _cold(lambda: solver(query, db, target))
-    return legacy, kernel
-
-
-def _shared_cache_dispatchers(rows: int) -> Scenario:
-    """Three solvers back-to-back on one (query, db): the cache's home turf."""
-    db, query, target = sj_workload(rows, seed=1)
-
-    def legacy():
-        a = delete_view_tuple(query, db, target, prov=_legacy_prov(query, db))
-        b = minimum_source_deletion(query, db, target, prov=_legacy_prov(query, db))
-        c = count_minimal_translations(query, db, target, prov=_legacy_prov(query, db))
-        return (a, b, c)
-
-    def kernel():
-        provenance_cache.clear()
-        a = delete_view_tuple(query, db, target)
-        b = minimum_source_deletion(query, db, target)
-        c = count_minimal_translations(query, db, target)
-        return (a, b, c)
-
-    return legacy, kernel
-
-
-def _enumerate_then_count(users: int) -> Scenario:
-    """The satellite scenario: enumerate + count on the same view."""
-    db, query, target = usergroup_workload(users, users // 3, users // 2, seed=5)
-
-    def legacy():
-        plans = enumerate_deletion_plans(
-            query, db, target, limit=10, prov=_legacy_prov(query, db)
-        )
-        count = count_minimal_translations(
-            query, db, target, prov=_legacy_prov(query, db)
-        )
-        return (len(plans), count)
-
-    def kernel():
-        provenance_cache.clear()
-        plans = enumerate_deletion_plans(query, db, target, limit=10)
-        count = count_minimal_translations(query, db, target)
-        return (len(plans), count)
 
     return legacy, kernel
 
@@ -244,29 +182,6 @@ def build_scenarios() -> Dict[str, Tuple[str, Scenario]]:
     t1_sj = sj_workload(100, seed=1)
     scenarios["build_only_spu_rows200"] = ("build", _build_only(t1_spu[0], t1_spu[1]))
     scenarios["build_only_sj_rows100"] = ("build", _build_only(t1_sj[0], t1_sj[1]))
-
-    scenarios["solver_e2e_spu_view_rows200"] = (
-        "solver",
-        _solver_e2e(spu_view_deletion, *t1_spu),
-    )
-    scenarios["solver_e2e_sj_view_rows100"] = (
-        "solver",
-        _solver_e2e(sj_view_deletion, *t1_sj),
-    )
-    star = star_workload(3, 6, seed=3)
-    scenarios["solver_e2e_star_exact_3arms_rows6"] = (
-        "solver",
-        _solver_e2e(exact_source_deletion, *star),
-    )
-
-    scenarios["shared_cache_three_solvers_sj100"] = (
-        "cache",
-        _shared_cache_dispatchers(100),
-    )
-    scenarios["shared_cache_enumerate_count_ug60"] = (
-        "cache",
-        _enumerate_then_count(60),
-    )
     return scenarios
 
 
@@ -277,7 +192,6 @@ def build_smoke_scenarios() -> Dict[str, Scenario]:
     return {
         "smoke_spu_view_rows30": _provenance_workload(*spu),
         "smoke_sj_view_rows15": _provenance_workload(*sj),
-        "smoke_shared_cache_sj15": _shared_cache_dispatchers(15),
     }
 
 
@@ -323,8 +237,8 @@ def _emit(entries: List[Dict[str, object]]) -> Dict[str, object]:
         "median_speedup": median(table_speedups),
         "table1_median_speedup": group_median("table1"),
         "table2_median_speedup": group_median("table2"),
-        # Median over every entry, including the diagnostic groups
-        # (build_only / solver_e2e / cache) that isolate sub-costs.
+        # Median over every entry, including the diagnostic build_only
+        # group that isolates the evaluator.
         "overall_median_speedup": median(speedups),
         "all_answers_match": all(e["match"] for e in entries),
     }

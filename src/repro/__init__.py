@@ -114,7 +114,6 @@ from repro.provenance import (
     lineage,
     lineage_of,
     locations_of_relation,
-    minimize_monomials,
     validate_location,
     where_provenance,
     why_provenance,
@@ -232,7 +231,6 @@ __all__ = [
     "WhyProvenance",
     "why_provenance",
     "witnesses_of",
-    "minimize_monomials",
     "WhereProvenance",
     "where_provenance",
     "annotate",

@@ -29,12 +29,7 @@ from repro.algebra.ast import (
     Select,
     Union,
 )
-from repro.algebra.evaluate import (
-    evaluate,
-    interpret_view_rows,
-    output_schema,
-    view_rows,
-)
+from repro.algebra.evaluate import evaluate, output_schema, view_rows
 from repro.algebra.plan import CompiledPlan, PlanNode, compile_plan
 from repro.algebra.optimizer import (
     DEFAULT_OPTIMIZER_LEVEL,
@@ -108,7 +103,6 @@ __all__ = [
     # evaluation
     "evaluate",
     "view_rows",
-    "interpret_view_rows",
     "output_schema",
     # compiled plans + the optimizer pipeline
     "CompiledPlan",

@@ -19,32 +19,23 @@ through :func:`repro.provenance.cache.cached_plan`, so the deletion solvers'
 thousands of re-evaluations against hypothetical databases pay only the
 per-row work.
 
-The original recursive interpreter is kept below as
-:func:`interpret_view_rows` / ``_eval``: it resolves everything per call and
-serves as the independent oracle for the compiled-plan equivalence tests,
-the benchmark baseline, and the derivation tracer in
-:mod:`repro.provenance.proof`.
+Which executor runs the plan is fixed per platform: the tuple ``PlanNode``
+executor here, and the numpy columnar kernels (:mod:`repro.columnar`) when
+the serving engine holds a column store.  The seed recursive interpreter,
+the independent oracle both are tested against, lives in
+:mod:`repro.oracle`, which only tests and benchmarks import.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Tuple
 
-from repro.errors import EvaluationError
-from repro.algebra.ast import (
-    Join,
-    Project,
-    Query,
-    RelationRef,
-    Rename,
-    Select,
-    Union,
-)
+from repro.algebra.ast import Query
 from repro.algebra.plan import DEFAULT_VIEW_NAME
 from repro.algebra.relation import Database, Relation, Row
 from repro.algebra.schema import Schema
 
-__all__ = ["evaluate", "output_schema", "view_rows", "interpret_view_rows"]
+__all__ = ["evaluate", "output_schema", "view_rows"]
 
 #: Lazily bound plan supplier (the provenance cache imports this module, so
 #: the import runs at first evaluation instead of module load).
@@ -86,94 +77,6 @@ def view_rows(query: Query, db: Database) -> frozenset:
     :class:`Relation` object.
     """
     return _shared_plan(query, db).rows(db)
-
-
-def interpret_view_rows(query: Query, db: Database) -> frozenset:
-    """The row set by direct recursive interpretation (no compiled plan).
-
-    Kept as the independent oracle: the interpreter re-resolves schemas and
-    positions on every call, exactly as the seed evaluator did.  The
-    equivalence property tests and ``benchmarks/bench_plan_compile.py``
-    compare :func:`view_rows` against this.
-    """
-    _, rows = _eval(query, db)
-    return frozenset(rows)
-
-
-def _eval(query: Query, db: Database) -> Tuple[Schema, List[Row]]:
-    """Recursive reference interpreter returning (schema, rows)."""
-    if isinstance(query, RelationRef):
-        rel = db[query.name]
-        return rel.schema, list(rel.rows)
-
-    if isinstance(query, Select):
-        schema, rows = _eval(query.child, db)
-        query.predicate.validate(schema)
-        kept = [row for row in rows if query.predicate.evaluate(schema, row)]
-        return schema, kept
-
-    if isinstance(query, Project):
-        schema, rows = _eval(query.child, db)
-        out_schema = schema.project(query.attributes)
-        positions = schema.positions(query.attributes)
-        projected = {tuple(row[i] for i in positions) for row in rows}
-        return out_schema, list(projected)
-
-    if isinstance(query, Join):
-        left_schema, left_rows = _eval(query.left, db)
-        right_schema, right_rows = _eval(query.right, db)
-        return _natural_join(left_schema, left_rows, right_schema, right_rows)
-
-    if isinstance(query, Union):
-        left_schema, left_rows = _eval(query.left, db)
-        right_schema, right_rows = _eval(query.right, db)
-        if not left_schema.is_union_compatible(right_schema):
-            raise EvaluationError(
-                f"union of incompatible schemas {left_schema.attributes} "
-                f"and {right_schema.attributes}"
-            )
-        reorder = right_schema.positions(left_schema.attributes)
-        merged = set(left_rows)
-        merged.update(tuple(row[i] for i in reorder) for row in right_rows)
-        return left_schema, list(merged)
-
-    if isinstance(query, Rename):
-        schema, rows = _eval(query.child, db)
-        return schema.rename(query.mapping_dict), rows
-
-    raise EvaluationError(f"unknown query node {query!r}")
-
-
-def _natural_join(
-    left_schema: Schema,
-    left_rows: List[Row],
-    right_schema: Schema,
-    right_rows: List[Row],
-) -> Tuple[Schema, List[Row]]:
-    """Hash-based natural join.
-
-    Partitions the right rows by their shared-attribute key, then streams the
-    left rows.  Degenerates to a cross product when no attributes are shared.
-    """
-    out_schema = left_schema.join(right_schema)
-    shared = left_schema.common(right_schema)
-    left_key = left_schema.positions(shared)
-    right_key = right_schema.positions(shared)
-    right_extra = [
-        i for i, a in enumerate(right_schema.attributes) if a not in left_schema
-    ]
-
-    buckets: Dict[Tuple[object, ...], List[Row]] = {}
-    for row in right_rows:
-        key = tuple(row[i] for i in right_key)
-        buckets.setdefault(key, []).append(row)
-
-    out: set = set()
-    for lrow in left_rows:
-        key = tuple(lrow[i] for i in left_key)
-        for rrow in buckets.get(key, ()):
-            out.add(lrow + tuple(rrow[i] for i in right_extra))
-    return out_schema, list(out)
 
 
 def join_components(

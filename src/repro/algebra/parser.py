@@ -27,6 +27,16 @@ quoted strings are constants.  Examples::
 
 :func:`parse_query` returns the AST; :func:`parse_predicate` parses a bare
 predicate (useful in tests).
+
+Both refuse input deeper than :data:`MAX_DEPTH` with a
+:class:`~repro.errors.ParseError`: every layer below the parser (plan
+compilation, the optimizer, both executors, predicate evaluation) walks the
+tree recursively, so the bound keeps a hostile query from surfacing as a
+raw ``RecursionError``.  Two things are bounded by the same number: the
+parser's own nesting (parentheses, ``SELECT``/``PROJECT``/``RENAME``
+bodies, ``NOT``), and the height of the finished tree, where a ``SELECT``'s
+predicate hangs below it and ``JOIN``/``UNION``/``AND``/``OR`` chains nest
+one level per operator.
 """
 
 from __future__ import annotations
@@ -47,7 +57,10 @@ from repro.algebra.predicates import (
     TruePredicate,
 )
 
-__all__ = ["parse_query", "parse_predicate"]
+__all__ = ["parse_query", "parse_predicate", "MAX_DEPTH"]
+
+#: Deepest nesting, and tallest query/predicate tree, the parser accepts.
+MAX_DEPTH = 64
 
 
 class _Token(NamedTuple):
@@ -97,6 +110,7 @@ class _Parser:
     def __init__(self, tokens: List[_Token]):
         self._tokens = tokens
         self._index = 0
+        self._nesting = 0
 
     # --- token plumbing -------------------------------------------------
     def _peek(self) -> _Token:
@@ -124,6 +138,17 @@ class _Parser:
             return self._advance()
         return None
 
+    def _nested(self, parse, token: _Token):
+        """``parse()`` one level deeper, refusing nesting past MAX_DEPTH."""
+        if self._nesting >= MAX_DEPTH:
+            raise ParseError(
+                f"nesting deeper than {MAX_DEPTH} levels", token.position
+            )
+        self._nesting += 1
+        node = parse()
+        self._nesting -= 1
+        return node
+
     # --- grammar --------------------------------------------------------
     def parse_query(self) -> Query:
         query = self._parse_union()
@@ -149,10 +174,10 @@ class _Parser:
         if token.kind == "keyword" and token.text == "SELECT":
             self._advance()
             self._expect("punct", "[")
-            predicate = self._parse_predicate()
+            predicate = self._nested(self._parse_predicate, token)
             self._expect("punct", "]")
             self._expect("punct", "(")
-            child = self._parse_union()
+            child = self._nested(self._parse_union, token)
             self._expect("punct", ")")
             return Select(child, predicate)
         if token.kind == "keyword" and token.text == "PROJECT":
@@ -163,7 +188,7 @@ class _Parser:
                 attrs.append(self._expect("ident").text)
             self._expect("punct", "]")
             self._expect("punct", "(")
-            child = self._parse_union()
+            child = self._nested(self._parse_union, token)
             self._expect("punct", ")")
             return Project(child, attrs)
         if token.kind == "keyword" and token.text == "RENAME":
@@ -179,7 +204,7 @@ class _Parser:
                 mapping[old] = self._expect("ident").text
             self._expect("punct", "]")
             self._expect("punct", "(")
-            child = self._parse_union()
+            child = self._nested(self._parse_union, token)
             self._expect("punct", ")")
             return Rename(child, mapping)
         if token.kind == "ident":
@@ -187,7 +212,7 @@ class _Parser:
             return RelationRef(token.text)
         if token.kind == "punct" and token.text == "(":
             self._advance()
-            node = self._parse_union()
+            node = self._nested(self._parse_union, token)
             self._expect("punct", ")")
             return node
         raise ParseError(
@@ -212,13 +237,14 @@ class _Parser:
         return node
 
     def _parse_unary(self) -> Predicate:
+        token = self._peek()
         if self._accept("keyword", "NOT"):
-            return Not(self._parse_unary())
+            return Not(self._nested(self._parse_unary, token))
         if self._accept("keyword", "TRUE"):
             return TruePredicate()
-        if self._peek().kind == "punct" and self._peek().text == "(":
+        if token.kind == "punct" and token.text == "(":
             self._advance()
-            node = self._parse_predicate()
+            node = self._nested(self._parse_predicate, token)
             self._expect("punct", ")")
             return node
         return self._parse_comparison()
@@ -254,7 +280,7 @@ def parse_query(text: str) -> Query:
     >>> parse_query("PROJECT[user, file](UserGroup JOIN GroupFile)")
     PROJECT[user, file]((UserGroup JOIN GroupFile))
     """
-    return _Parser(_tokenize(text)).parse_query()
+    return _check_height(_Parser(_tokenize(text)).parse_query())
 
 
 def parse_predicate(text: str) -> Predicate:
@@ -268,4 +294,32 @@ def parse_predicate(text: str) -> Predicate:
     token = parser._peek()
     if token.kind != "eof":
         raise ParseError(f"unexpected trailing input {token.text!r}", token.position)
-    return predicate
+    return _check_height(predicate)
+
+
+def _subtrees(node) -> tuple:
+    """Children of a query or predicate node; a SELECT's include its predicate."""
+    if isinstance(node, Select):
+        return (node.child, node.predicate)
+    if isinstance(node, Query):
+        return node.children
+    if isinstance(node, (And, Or)):
+        return (node.left, node.right)
+    if isinstance(node, Not):
+        return (node.child,)
+    return ()
+
+
+def _check_height(root):
+    """``root``, or ParseError when its tree is taller than MAX_DEPTH.
+
+    Walks iteratively: the tree being measured may be too tall to recurse
+    over, which is the point of measuring it.
+    """
+    stack = [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ParseError(f"query tree taller than {MAX_DEPTH} levels")
+        stack.extend((child, depth + 1) for child in _subtrees(node))
+    return root

@@ -29,6 +29,11 @@ those two costs:
   - :meth:`CompiledPlan.where_rows` — where-provenance location sets per
     view field (the :func:`repro.provenance.where.where_provenance` front).
 
+  Where numpy imports, the serving engine runs the first two on the
+  columnar kernels instead (:meth:`CompiledPlan.rows_columnar`,
+  :meth:`CompiledPlan.annotated_table_columnar`) over the same tree; this
+  tuple executor is the only one on hosts without numpy.
+
 Compilation also *moves validation forward*: union schema compatibility,
 predicate attribute resolution, projection positions, and rename injectivity
 are all checked at compile time, so a malformed query fails once, at
@@ -766,20 +771,14 @@ class CompiledPlan:
     def rows_columnar(self, store) -> FrozenSet[Row]:
         """Like :meth:`rows`, executed over a ColumnStore of the database.
 
-        Answer-identical to ``rows(db)`` for the store's database; vectorized
-        when the store is numpy-backed.
+        Answer-identical to ``rows(db)`` for the store's database, on the
+        vectorized numpy kernels.
         """
         # Local import: plan.py must not import repro.columnar at module
         # level (the columnar kernels import this module).
         from repro.columnar.kernels import columnar_rows
 
         return columnar_rows(self, store)
-
-    def annotated_rows_columnar(self, store, index) -> Dict[Row, MaskWitnesses]:
-        """Like :meth:`annotated_rows`, executed over a ColumnStore."""
-        from repro.columnar.kernels import columnar_annotated
-
-        return columnar_annotated(self, store, index)
 
     def annotated_table_columnar(self, store, index):
         """The annotated evaluation over a ColumnStore as a CSR table.

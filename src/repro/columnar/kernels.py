@@ -1,6 +1,6 @@
 """Columnar execution of compiled plans: vectorized scan/filter/join kernels.
 
-:func:`columnar_rows` and :func:`columnar_annotated` walk the same physical
+:func:`columnar_rows` and :func:`columnar_annotated_table` walk the same physical
 operator tree that :mod:`repro.algebra.plan` interprets over tuples, but
 execute it over the dictionary-encoded columns of a
 :class:`~repro.columnar.store.ColumnStore`:
@@ -28,11 +28,15 @@ closure, preserving short-circuit and error semantics bit for bit.
 Batches are duplicate-free by construction (base relations are sets, joins
 of duplicate-free inputs are duplicate-free, projections/unions dedup), so
 no kernel re-deduplicates except where the tuple semantics do.
+
+Every kernel here is numpy-only.  Without numpy no
+:class:`~repro.columnar.store.ColumnStore` can be built, and the tuple
+executor of :mod:`repro.algebra.plan` is the one pure-Python path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List
 
 from repro.algebra.plan import (
     CompiledPlan,
@@ -60,7 +64,7 @@ from repro.columnar.store import FLOAT_EXACT_MAX, HAVE_NUMPY, ColumnStore, Relat
 if HAVE_NUMPY:
     import numpy as _np
 
-__all__ = ["columnar_rows", "columnar_annotated", "columnar_annotated_table"]
+__all__ = ["columnar_rows", "columnar_annotated_table"]
 
 FALLBACK = object()  # sentinel: predicate not vectorizable, use the bound closure
 
@@ -82,8 +86,7 @@ class _Batch:
         self.cols = cols
         self.n = n
         self.base = base
-        # annotated mode: a _WitMat (numpy) or list of mask tuples (python)
-        self.wits = wits
+        self.wits = wits  # annotated mode: a _WitMat
 
 
 def _as_root(plan_or_node) -> PlanNode:
@@ -94,66 +97,42 @@ def _as_root(plan_or_node) -> PlanNode:
 
 def columnar_rows(plan_or_node, store: ColumnStore) -> "FrozenSet[Row]":
     """Rows of the plan, executed over ``store``; equals ``plan.rows(db)``."""
-    root = _as_root(plan_or_node)
-    py = not store.backed_by_numpy
-    batch = _rows(root, store, py)
-    return frozenset(_decode(batch, store, py))
-
-
-def columnar_annotated(plan_or_node, store: ColumnStore, index) -> "Dict[Row, tuple]":
-    """Annotated table ``{row: minimized witness-mask tuple}`` over ``store``.
-
-    Bit-identical to ``plan.annotated_rows(db, index)`` when ``index`` is
-    shared.  The dict of int masks is the *compatibility* form — it is the
-    CSR table's lazy mask view; callers that can stay in arrays should use
-    :func:`columnar_annotated_table`.
-    """
-    return columnar_annotated_table(plan_or_node, store, index).to_masks()
+    batch = _rows(_as_root(plan_or_node), store)
+    return frozenset(_decode(batch, store))
 
 
 def columnar_annotated_table(plan_or_node, store: ColumnStore, index):
     """Annotated evaluation over ``store`` as a CSR ``WitnessTable``.
 
-    The numpy path never materializes a witness as a Python int: witnesses
-    travel through the operator tree as the padded bit matrix of
-    :class:`_WitMat` and land in the table's flat offset/bit arrays.  The
-    pure-Python path runs the tuple-of-masks executor and converts — the
-    bit-identical fallback (same rows, same canonical witness order).
+    Bit-identical to ``plan.annotated_rows(db, index)`` (its ``to_masks()``
+    view) when ``index`` is shared.  No witness is ever materialized as a
+    Python int: witnesses travel through the operator tree as the padded
+    bit matrix of :class:`_WitMat` and land in the table's flat offset/bit
+    arrays.
     """
     from repro.provenance.witness_table import WitnessTable
 
-    root = _as_root(plan_or_node)
-    py = not store.backed_by_numpy
-    batch = _annotated(root, store, index, py)
-    rows = _decode(batch, store, py)
-    if py:
-        return WitnessTable.from_masks(dict(zip(rows, batch.wits)))
+    batch = _annotated(_as_root(plan_or_node), store, index)
     wits = batch.wits
-    return WitnessTable.from_padded(rows, wits.row_offsets, wits.bits, wits.lens)
+    return WitnessTable.from_padded(
+        _decode(batch, store), wits.row_offsets, wits.bits, wits.lens
+    )
 
 
 # -- shared helpers ---------------------------------------------------------
 
 
-def _take(col, idx, py):
-    if py:
-        return [col[i] for i in idx]
-    return col[idx]
-
-
-def _indices(kept, n, py):
-    """Materialize a kept-index container (identity when ``kept`` is None)."""
+def _indices(kept, n):
+    """Materialize a kept-index array (identity when ``kept`` is None)."""
     if kept is not None:
         return kept
-    if py:
-        return list(range(n))
     return _np.arange(n, dtype=_np.int64)
 
 
-def _gather(cols, kept, py):
+def _gather(cols, kept):
     if kept is None:
         return list(cols)
-    return [_take(col, kept, py) for col in cols]
+    return [col[kept] for col in cols]
 
 
 def _packed_keys(column_sets):
@@ -192,33 +171,15 @@ def _packed_keys(column_sets):
     return packed
 
 
-def _unique(cols, n, py):
+def _unique(cols, n):
     """Dedup rows of ``cols``; returns ``(new_cols, new_n, inverse)``.
 
-    ``inverse[i]`` is the output group of input row ``i``.  Output group
-    order is first-appearance order in python mode and sorted-code order in
-    numpy mode; both are deterministic, and every consumer either ignores
-    order (sets/dicts) or groups through ``inverse``.
+    ``inverse[i]`` is the output group of input row ``i``.  Output groups
+    come in sorted-code order, which is deterministic; every consumer
+    either ignores order (sets/dicts) or groups through ``inverse``.
     """
     if not cols:
-        new_n = 1 if n else 0
-        if py:
-            return [], new_n, [0] * n
-        return [], new_n, _np.zeros(n, dtype=_np.int64)
-    if py:
-        seen: Dict[tuple, int] = {}
-        new_cols: List[List[int]] = [[] for _ in cols]
-        inverse = []
-        for i in range(n):
-            key = tuple(col[i] for col in cols)
-            group = seen.get(key)
-            if group is None:
-                group = len(seen)
-                seen[key] = group
-                for col, code in zip(new_cols, key):
-                    col.append(code)
-            inverse.append(group)
-        return new_cols, len(seen), inverse
+        return [], 1 if n else 0, _np.zeros(n, dtype=_np.int64)
     if len(cols) == 1:
         uniq, inverse = _np.unique(cols[0], return_inverse=True)
         return [uniq], int(uniq.shape[0]), inverse.reshape(-1)
@@ -238,28 +199,11 @@ def _unique(cols, n, py):
     return new_cols, int(uniq.shape[0]), inverse.reshape(-1)
 
 
-def _join_indices(left_keys, right_keys, nl, nr, py):
+def _join_indices(left_keys, right_keys, nl, nr):
     """Matching row-index pairs for an equi-join on encoded key columns."""
     if not left_keys:  # no shared attributes: explicit cross product
-        if py:
-            l_idx = [i for i in range(nl) for _ in range(nr)]
-            r_idx = [j for _ in range(nl) for j in range(nr)]
-            return l_idx, r_idx
         l_idx = _np.repeat(_np.arange(nl, dtype=_np.int64), nr)
         r_idx = _np.tile(_np.arange(nr, dtype=_np.int64), nl)
-        return l_idx, r_idx
-    if py:
-        buckets: Dict[tuple, List[int]] = {}
-        for j in range(nr):
-            buckets.setdefault(tuple(col[j] for col in right_keys), []).append(j)
-        l_idx: List[int] = []
-        r_idx: List[int] = []
-        for i in range(nl):
-            matches = buckets.get(tuple(col[i] for col in left_keys))
-            if matches:
-                for j in matches:
-                    l_idx.append(i)
-                    r_idx.append(j)
         return l_idx, r_idx
     if len(left_keys) == 1:
         left_group = left_keys[0]
@@ -305,26 +249,19 @@ def _join_indices(left_keys, right_keys, nl, nr, py):
     return l_idx, r_idx
 
 
-def _decode(batch: _Batch, store: ColumnStore, py: bool) -> "List[Row]":
+def _decode(batch: _Batch, store: ColumnStore) -> "List[Row]":
     """Materialize Python row tuples at the API boundary."""
     if batch.base is not None:
         columns, kept = batch.base
         if kept is None:
             return list(columns.rows)
-        if py:
-            return [columns.rows[i] for i in kept]
         return [columns.rows[i] for i in kept.tolist()]
     if not batch.cols:
         return [()] * batch.n
-    if py:
-        pool = store.pool
-        decoded = [[pool[code] for code in col] for col in batch.cols]
-    else:
-        pool_arr = store.pool_array()
-        # .tolist() unwraps the object arrays once in C; zipping Python
-        # lists beats iterating ndarray views element by element.
-        decoded = [pool_arr[col].tolist() for col in batch.cols]
-    return list(zip(*decoded))
+    pool_arr = store.pool_array()
+    # .tolist() unwraps the object arrays once in C; zipping Python
+    # lists beats iterating ndarray views element by element.
+    return list(zip(*(pool_arr[col].tolist() for col in batch.cols)))
 
 
 # -- predicate vectorization ------------------------------------------------
@@ -506,123 +443,122 @@ def _scan_columns(node: ScanOp, store: ColumnStore):
     return columns
 
 
-def _scan_kept(node: ScanOp, columns: RelationColumns, store: ColumnStore, py: bool):
+def _scan_kept(node: ScanOp, columns: RelationColumns, store: ColumnStore):
     """Kept base-row indices after the residual predicate (None = all)."""
     if node.test is None or columns.n == 0:
         return None
-    if not py:
-        mask = _vector_mask(
-            node.predicate,
-            node.base_schema,
-            columns.codes,
-            store,
-            columns.raw,
-            lambda pos: columns.nonreflexive[pos],
-            columns.n,
-        )
-        if mask is None:
-            return None
-        if mask is not FALLBACK:
-            return _np.flatnonzero(mask)
+    mask = _vector_mask(
+        node.predicate,
+        node.base_schema,
+        columns.codes,
+        store,
+        columns.raw,
+        lambda pos: columns.nonreflexive[pos],
+        columns.n,
+    )
+    if mask is None:
+        return None
+    if mask is not FALLBACK:
+        return _np.flatnonzero(mask)
     test = node.test
-    kept = [i for i, row in enumerate(columns.rows) if test(row)]
-    if py:
-        return kept
-    return _np.asarray(kept, dtype=_np.int64)
+    return _np.asarray(
+        [i for i, row in enumerate(columns.rows) if test(row)], dtype=_np.int64
+    )
 
 
-def _rows(node: PlanNode, store: ColumnStore, py: bool) -> _Batch:
+def _rows(node: PlanNode, store: ColumnStore) -> _Batch:
     if isinstance(node, ScanOp):
         columns = _scan_columns(node, store)
-        kept = _scan_kept(node, columns, store, py)
-        if node.columns is None:
-            cols = _gather(columns.codes, kept, py)
-            return _Batch(cols, columns.n if kept is None else len(kept), (columns, kept))
-        cols = [_take(columns.codes[p], _indices(kept, columns.n, py), py) for p in node.columns]
+        kept = _scan_kept(node, columns, store)
         n = columns.n if kept is None else len(kept)
-        cols, n, _ = _unique(cols, n, py)
+        if node.columns is None:
+            return _Batch(_gather(columns.codes, kept), n, (columns, kept))
+        idx = _indices(kept, columns.n)
+        cols, n, _ = _unique([columns.codes[p][idx] for p in node.columns], n)
         return _Batch(cols, n)
     if isinstance(node, FilterOp):
-        child = _rows(node.child, store, py)
-        keep = _filter_positions(node, child, store, py)
+        child = _rows(node.child, store)
+        keep = _filter_positions(node, child, store)
         if keep is None:
             return child
-        base = None
-        if child.base is not None:
-            columns, kept = child.base
-            base = (columns, _take(_indices(kept, columns.n, py), keep, py))
-        return _Batch(_gather(child.cols, keep, py), len(keep), base)
+        return _Batch(_gather(child.cols, keep), len(keep), _filtered_base(child, keep))
     if isinstance(node, ProjectOp):
-        child = _rows(node.child, store, py)
-        cols = [child.cols[p] for p in node.positions]
-        cols, n, _ = _unique(cols, child.n, py)
+        child = _rows(node.child, store)
+        cols, n, _ = _unique([child.cols[p] for p in node.positions], child.n)
         return _Batch(cols, n)
     if isinstance(node, HashJoinOp):
-        left = _rows(node.left, store, py)
-        right = _rows(node.right, store, py)
-        l_idx, r_idx = _join_indices(
-            [left.cols[p] for p in node.left_key_positions],
-            [right.cols[p] for p in node.right_key_positions],
-            left.n,
-            right.n,
-            py,
-        )
-        cols = [_take(col, l_idx, py) for col in left.cols]
-        cols += [_take(right.cols[p], r_idx, py) for p in node.right_extra_positions]
-        return _Batch(cols, len(l_idx))
+        left = _rows(node.left, store)
+        right = _rows(node.right, store)
+        return _join_batch(node, left, right)[0]
     if isinstance(node, UnionOp):
-        left = _rows(node.left, store, py)
-        right = _rows(node.right, store, py)
-        reorder = node.reorder
-        right_cols = right.cols if reorder is None else [right.cols[p] for p in reorder]
-        if py:
-            cols = [lcol + rcol for lcol, rcol in zip(left.cols, right_cols)]
-        else:
-            cols = [
-                _np.concatenate([lcol, rcol])
-                for lcol, rcol in zip(left.cols, right_cols)
-            ]
-        cols, n, _ = _unique(cols, left.n + right.n, py)
+        left = _rows(node.left, store)
+        right = _rows(node.right, store)
+        cols, n, _ = _unique(_union_cols(node, left, right), left.n + right.n)
         return _Batch(cols, n)
     if isinstance(node, RenameOp):
-        return _rows(node.child, store, py)
+        return _rows(node.child, store)
     raise EvaluationError(f"columnar executor cannot run plan node {type(node).__name__}")
 
 
-def _filter_positions(node: FilterOp, child: _Batch, store: ColumnStore, py: bool):
+def _filtered_base(child: _Batch, keep):
+    """The base-row view of ``child`` narrowed to ``keep`` (or None)."""
+    if child.base is None:
+        return None
+    columns, kept = child.base
+    return (columns, _indices(kept, columns.n)[keep])
+
+
+def _join_batch(node: HashJoinOp, left: _Batch, right: _Batch):
+    """The joined code columns as a batch, plus the matching index pairs."""
+    l_idx, r_idx = _join_indices(
+        [left.cols[p] for p in node.left_key_positions],
+        [right.cols[p] for p in node.right_key_positions],
+        left.n,
+        right.n,
+    )
+    cols = [col[l_idx] for col in left.cols]
+    cols += [right.cols[p][r_idx] for p in node.right_extra_positions]
+    return _Batch(cols, l_idx.shape[0]), l_idx, r_idx
+
+
+def _union_cols(node: UnionOp, left: _Batch, right: _Batch):
+    """Both sides' code columns stacked, the right reordered to the left."""
+    reorder = node.reorder
+    right_cols = right.cols if reorder is None else [right.cols[p] for p in reorder]
+    return [_np.concatenate([lcol, rcol]) for lcol, rcol in zip(left.cols, right_cols)]
+
+
+def _filter_positions(node: FilterOp, child: _Batch, store: ColumnStore):
     """Kept positions in ``child`` after the filter predicate (None = all)."""
     if child.n == 0:
         return None
-    if not py:
-        raw_of = None
-        nonreflexive_of = lambda pos: store.pool_has_nonreflexive
-        if child.base is not None:
-            columns, kept = child.base
-            if kept is None:
-                raw_of = columns.raw
-                nonreflexive_of = lambda pos: columns.nonreflexive[pos]
-        mask = _vector_mask(
-            node.predicate,
-            node.schema,
-            child.cols,
-            store,
-            raw_of,
-            nonreflexive_of,
-            child.n,
-        )
-        if mask is None:
-            return None
-        if mask is not FALLBACK:
-            keep = _np.flatnonzero(mask)
-            return None if len(keep) == child.n else keep
-    test = node.test
-    rows = _decode(child, store, py)
-    keep = [i for i, row in enumerate(rows) if test(row)]
-    if len(keep) == child.n:
+    raw_of = None
+    nonreflexive_of = lambda pos: store.pool_has_nonreflexive
+    if child.base is not None:
+        columns, kept = child.base
+        if kept is None:
+            raw_of = columns.raw
+            nonreflexive_of = lambda pos: columns.nonreflexive[pos]
+    mask = _vector_mask(
+        node.predicate,
+        node.schema,
+        child.cols,
+        store,
+        raw_of,
+        nonreflexive_of,
+        child.n,
+    )
+    if mask is None:
         return None
-    if py:
-        return keep
-    return _np.asarray(keep, dtype=_np.int64)
+    if mask is FALLBACK:
+        test = node.test
+        keep = _np.asarray(
+            [i for i, row in enumerate(_decode(child, store)) if test(row)],
+            dtype=_np.int64,
+        )
+    else:
+        keep = _np.flatnonzero(mask)
+    return None if len(keep) == child.n else keep
 
 
 # -- annotated (witness) mode ----------------------------------------------
@@ -634,7 +570,7 @@ def _minimize():
     return minimize_masks
 
 
-def _scan_ids(node, columns, kept, store, index, py):
+def _scan_ids(node, columns, kept, store, index):
     """SourceIndex ids of the kept base rows, honoring the caller's index.
 
     Under a foreign index the whole scan is interned in one batch (and the
@@ -649,21 +585,10 @@ def _scan_ids(node, columns, kept, store, index, py):
     )
     if kept is None:
         return ids
-    return _take(ids, kept, py)
+    return ids[kept]
 
 
-def _group_wits(inverse, n_groups, wits, py):
-    """Merge per-row witness tuples into per-group minimized tuples."""
-    minimize = _minimize()
-    groups: List[set] = [set() for _ in range(n_groups)]
-    if not py:
-        inverse = inverse.tolist()
-    for row_i, group in enumerate(inverse):
-        groups[group].update(wits[row_i])
-    return [minimize(masks) for masks in groups]
-
-
-# -- array-native witness kernels (numpy mode) ------------------------------
+# -- array-native witness kernels --------------------------------------------
 
 
 class _WitMat:
@@ -884,116 +809,44 @@ def _wit_canonical(row_ids, bits, lens, n_rows, minimize) -> _WitMat:
     return _WitMat(offsets, bit_g[:, :new_width], len_g)
 
 
-def _annotated(node: PlanNode, store: ColumnStore, index, py: bool) -> _Batch:
+def _annotated(node: PlanNode, store: ColumnStore, index) -> _Batch:
     if isinstance(node, ScanOp):
         columns = _scan_columns(node, store)
-        kept = _scan_kept(node, columns, store, py)
-        ids = _scan_ids(node, columns, kept, store, index, py)
-        if py:
-            wits = [(1 << int(bit),) for bit in ids]
-        else:
-            wits = _wit_scan(ids)
-        if node.columns is None:
-            cols = _gather(columns.codes, kept, py)
-            n = columns.n if kept is None else len(kept)
-            batch = _Batch(cols, n, (columns, kept))
-            batch.wits = wits
-            return batch
-        cols = [_take(columns.codes[p], _indices(kept, columns.n, py), py) for p in node.columns]
+        kept = _scan_kept(node, columns, store)
+        wits = _wit_scan(_scan_ids(node, columns, kept, store, index))
         n = columns.n if kept is None else len(kept)
-        cols, n_out, inverse = _unique(cols, n, py)
-        batch = _Batch(cols, n_out)
-        if py:
-            batch.wits = _group_wits(inverse, n_out, wits, py)
-        else:
-            batch.wits = _wit_group(wits, inverse, n_out, _minimize())
-        return batch
+        if node.columns is None:
+            return _Batch(_gather(columns.codes, kept), n, (columns, kept), wits)
+        idx = _indices(kept, columns.n)
+        cols, n_out, inverse = _unique([columns.codes[p][idx] for p in node.columns], n)
+        return _Batch(cols, n_out, None, _wit_group(wits, inverse, n_out, _minimize()))
     if isinstance(node, FilterOp):
-        child = _annotated(node.child, store, index, py)
-        keep = _filter_positions(node, child, store, py)
+        child = _annotated(node.child, store, index)
+        keep = _filter_positions(node, child, store)
         if keep is None:
             return child
-        base = None
-        if child.base is not None:
-            columns, kept = child.base
-            base = (columns, _take(_indices(kept, columns.n, py), keep, py))
-        batch = _Batch(_gather(child.cols, keep, py), len(keep), base)
-        if py:
-            batch.wits = [child.wits[i] for i in keep]
-        else:
-            batch.wits = _wit_take(child.wits, keep)
-        return batch
-    if isinstance(node, ProjectOp):
-        child = _annotated(node.child, store, index, py)
-        cols = [child.cols[p] for p in node.positions]
-        cols, n, inverse = _unique(cols, child.n, py)
-        batch = _Batch(cols, n)
-        if py:
-            batch.wits = _group_wits(inverse, n, child.wits, py)
-        else:
-            batch.wits = _wit_group(child.wits, inverse, n, _minimize())
-        return batch
-    if isinstance(node, HashJoinOp):
-        left = _annotated(node.left, store, index, py)
-        right = _annotated(node.right, store, index, py)
-        l_idx, r_idx = _join_indices(
-            [left.cols[p] for p in node.left_key_positions],
-            [right.cols[p] for p in node.right_key_positions],
-            left.n,
-            right.n,
-            py,
+        return _Batch(
+            _gather(child.cols, keep),
+            len(keep),
+            _filtered_base(child, keep),
+            _wit_take(child.wits, keep),
         )
-        cols = [_take(col, l_idx, py) for col in left.cols]
-        cols += [_take(right.cols[p], r_idx, py) for p in node.right_extra_positions]
-        minimize = _minimize()
-        lwits = left.wits
-        rwits = right.wits
-        if not py:
-            batch = _Batch(cols, l_idx.shape[0])
-            batch.wits = _wit_join(lwits, rwits, l_idx, r_idx, minimize)
-            return batch
-        # Witness tuples are shared objects (filters/joins pass them through
-        # unchanged), so distinct (left, right) identity pairs repeat across
-        # output pairs; memoizing the minimized product per identity pair
-        # avoids recomputing the same set algebra row by row.
-        memo: "Dict[Tuple[int, int], tuple]" = {}
-        wits = []
-        for li, ri in zip(l_idx, r_idx):
-            lw = lwits[li]
-            rw = rwits[ri]
-            key = (id(lw), id(rw))
-            merged = memo.get(key)
-            if merged is None:
-                if len(lw) == 1 and len(rw) == 1:
-                    merged = minimize({lw[0] | rw[0]})
-                else:
-                    merged = minimize({lm | rm for lm in lw for rm in rw})
-                memo[key] = merged
-            wits.append(merged)
-        batch = _Batch(cols, len(wits))
-        batch.wits = wits
+    if isinstance(node, ProjectOp):
+        child = _annotated(node.child, store, index)
+        cols, n, inverse = _unique([child.cols[p] for p in node.positions], child.n)
+        return _Batch(cols, n, None, _wit_group(child.wits, inverse, n, _minimize()))
+    if isinstance(node, HashJoinOp):
+        left = _annotated(node.left, store, index)
+        right = _annotated(node.right, store, index)
+        batch, l_idx, r_idx = _join_batch(node, left, right)
+        batch.wits = _wit_join(left.wits, right.wits, l_idx, r_idx, _minimize())
         return batch
     if isinstance(node, UnionOp):
-        left = _annotated(node.left, store, index, py)
-        right = _annotated(node.right, store, index, py)
-        reorder = node.reorder
-        right_cols = right.cols if reorder is None else [right.cols[p] for p in reorder]
-        if py:
-            cols = [lcol + rcol for lcol, rcol in zip(left.cols, right_cols)]
-        else:
-            cols = [
-                _np.concatenate([lcol, rcol])
-                for lcol, rcol in zip(left.cols, right_cols)
-            ]
-        cols, n, inverse = _unique(cols, left.n + right.n, py)
-        batch = _Batch(cols, n)
-        if py:
-            batch.wits = _group_wits(inverse, n, left.wits + right.wits, py)
-        else:
-            batch.wits = _wit_group(
-                _wit_concat(left.wits, right.wits), inverse, n, _minimize()
-            )
-        return batch
+        left = _annotated(node.left, store, index)
+        right = _annotated(node.right, store, index)
+        cols, n, inverse = _unique(_union_cols(node, left, right), left.n + right.n)
+        wits = _wit_group(_wit_concat(left.wits, right.wits), inverse, n, _minimize())
+        return _Batch(cols, n, None, wits)
     if isinstance(node, RenameOp):
-        return _annotated(node.child, store, index, py)
+        return _annotated(node.child, store, index)
     raise EvaluationError(f"columnar executor cannot run plan node {type(node).__name__}")

@@ -3,10 +3,10 @@
 ``ColumnStore`` lowers every relation of a database into columns of dense
 integer *codes*: each distinct Python value across the database is interned
 once into a global value pool, and each attribute becomes one ``int64`` array
-of pool codes (a plain list of codes in the pure-Python fallback).  Alongside
-the codes every relation keeps a row→:class:`~repro.provenance.interning.SourceIndex`
-id vector, so witness annotation can emit ``1 << id`` masks straight from the
-vector without touching per-row tuples.
+of pool codes.  Alongside the codes every relation keeps a
+row→:class:`~repro.provenance.interning.SourceIndex` id vector, so witness
+annotation can emit source-id bits straight from the vector without
+touching per-row tuples.
 
 The frozenset-based ``Relation`` stays the construction source of truth: the
 store is a read-only acceleration structure built from ``sorted_rows()`` (the
@@ -19,23 +19,23 @@ rows.  The one place dict semantics and ``==`` diverge is non-self-equal
 values (NaN): those are flagged per column (``nonreflexive``) so the kernels
 fall back to per-row evaluation for the affected comparisons.
 
-Gating follows the PR 4/6 discipline: numpy is optional, and
-``REPRO_COLUMNAR_PYTHON=1`` / :func:`set_force_python` force the bit-identical
-pure-Python twin.  A store snapshots the active mode at build time.
+The store exists only where numpy imports: constructing one without numpy
+raises :class:`~repro.errors.ReproError`.  A host without numpy serves
+every query on the tuple plan executor (:mod:`repro.algebra.plan`), which
+is the faster pure-Python path, so there is no pure-Python columnar twin.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-import sys
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.errors import ReproError
 from repro.algebra.relation import Database, EvaluationError, Relation
 from repro.provenance.interning import SourceIndex
 
-try:  # optional acceleration; the pure-Python twin is bit-identical
+try:  # optional: without numpy there is no column store
     import numpy as _np
 
     HAVE_NUMPY = True
@@ -47,12 +47,8 @@ __all__ = [
     "ColumnStore",
     "RelationColumns",
     "HAVE_NUMPY",
-    "set_force_python",
-    "using_numpy",
     "cached_column_store",
 ]
-
-_FORCE_PYTHON = os.environ.get("REPRO_COLUMNAR_PYTHON", "") not in ("", "0")
 
 # Integers above 2**53 are not exactly representable as float64, so order
 # comparisons that would lower an int column through float64 must fall back.
@@ -66,17 +62,6 @@ FLOAT_EXACT_MAX = 2**53
 COMPACT_FRACTION = 0.25
 
 
-def set_force_python(force: bool) -> None:
-    """Force the pure-Python columnar paths (stores built afterwards)."""
-    global _FORCE_PYTHON
-    _FORCE_PYTHON = bool(force)
-
-
-def using_numpy() -> bool:
-    """True when stores built now will use the vectorized numpy paths."""
-    return HAVE_NUMPY and not _FORCE_PYTHON
-
-
 class RelationColumns:
     """One relation lowered to columns: codes, row ids, and the source rows."""
 
@@ -86,8 +71,8 @@ class RelationColumns:
         self.name = name
         self.schema = schema
         self.rows = rows  # tuple of row tuples, in sorted_rows() order
-        self.codes = codes  # per attribute: int64 ndarray (or list) of pool codes
-        self.row_ids = row_ids  # aligned SourceIndex ids, same container kind
+        self.codes = codes  # per attribute: int64 ndarray of pool codes
+        self.row_ids = row_ids  # aligned SourceIndex ids, int64 ndarray
         self.nonreflexive = nonreflexive  # per attribute: column holds a NaN-like
         self._raw = {}
 
@@ -112,7 +97,7 @@ class RelationColumns:
         return result
 
     def _build_raw(self, pos: int):
-        if not HAVE_NUMPY or not self.rows:
+        if not self.rows:
             return None
         is_int = is_num = is_str = True
         max_abs_int = 0
@@ -156,7 +141,8 @@ class ColumnStore:
     read-only).  When ``index`` is omitted the store owns a fresh index built
     in the same deterministic order as ``SourceIndex.from_database`` — only
     index-owning stores are spillable, because the index can be rebuilt
-    exactly by re-interning on attach.
+    exactly by re-interning on attach.  Needs numpy: without it the
+    constructor raises :class:`~repro.errors.ReproError`.
     """
 
     __slots__ = (
@@ -168,20 +154,23 @@ class ColumnStore:
         "_code_of",
         "_pool_nonreflexive",
         "_pool_obj",
-        "_numpy",
         "_foreign_ids",
         "_pending",
         "_pending_lock",
     )
 
     def __init__(self, db: Database, index: "Optional[SourceIndex]" = None):
+        if not HAVE_NUMPY:
+            raise ReproError(
+                "ColumnStore needs numpy; without it queries run on the "
+                "tuple plan executor"
+            )
         own_index = index is None
         if own_index:
             index = SourceIndex()
         self._db = db
         self._index = index
         self._own_index = own_index
-        self._numpy = using_numpy()
         self._pool: List[object] = []
         self._code_of: Dict[object, int] = {}
         self._pool_nonreflexive: set = set()
@@ -195,18 +184,20 @@ class ColumnStore:
         for name in db:
             self._lower_relation(name, db[name])
 
-    def _lower_relation(self, name: str, relation: Relation) -> None:
+    def _encode_rows(self, name: str, rows, nonreflexive: "List[bool]"):
+        """Per-attribute code lists and source ids of ``name``'s ``rows``.
+
+        Grows the value pool on a value's first sight and sets
+        ``nonreflexive[position]`` for every column holding a NaN-like.
+        """
         pool = self._pool
         code_of = self._code_of
         nonreflexive_codes = self._pool_nonreflexive
-        index = self._index
-        rows = relation.sorted_rows()
-        arity = relation.schema.arity
-        codes: List[List[int]] = [[] for _ in range(arity)]
-        nonreflexive = [False] * arity
-        row_ids = []
+        intern = self._index.intern
+        codes: List[List[int]] = [[] for _ in nonreflexive]
+        row_ids: List[int] = []
         for row in rows:
-            row_ids.append(index.intern((name, row)))
+            row_ids.append(intern((name, row)))
             for position, value in enumerate(row):
                 code = code_of.get(value)
                 if code is None:
@@ -221,14 +212,19 @@ class ColumnStore:
                 if code in nonreflexive_codes:
                     nonreflexive[position] = True
                 codes[position].append(code)
-        if self._numpy:
-            lowered = [_np.asarray(col, dtype=_np.int64) for col in codes]
-            ids = _np.asarray(row_ids, dtype=_np.int64)
-        else:
-            lowered = codes
-            ids = row_ids
+        return codes, row_ids
+
+    def _lower_relation(self, name: str, relation: Relation) -> None:
+        rows = relation.sorted_rows()
+        nonreflexive = [False] * relation.schema.arity
+        codes, row_ids = self._encode_rows(name, rows, nonreflexive)
         self._relations[name] = RelationColumns(
-            name, relation.schema, tuple(rows), lowered, ids, nonreflexive
+            name,
+            relation.schema,
+            tuple(rows),
+            [_np.asarray(col, dtype=_np.int64) for col in codes],
+            _np.asarray(row_ids, dtype=_np.int64),
+            nonreflexive,
         )
 
     # -- lookups -----------------------------------------------------------
@@ -240,14 +236,6 @@ class ColumnStore:
     @property
     def owns_index(self) -> bool:
         return self._own_index
-
-    @property
-    def backed_by_numpy(self) -> bool:
-        return self._numpy
-
-    @property
-    def pool(self) -> "List[object]":
-        return self._pool
 
     @property
     def pool_has_nonreflexive(self) -> bool:
@@ -274,9 +262,6 @@ class ColumnStore:
         except TypeError:
             return None
 
-    def code_nonreflexive(self, code: int) -> bool:
-        return code in self._pool_nonreflexive
-
     def foreign_row_ids(self, name: str, index):
         """Row ids of ``name`` under a *foreign* ``SourceIndex``, batch-interned.
 
@@ -293,13 +278,12 @@ class ColumnStore:
             return hit[1]
         columns = self.relation_columns(name)
         intern = index.intern
-        row_ids = [intern((name, row)) for row in columns.rows]
-        ids = _np.asarray(row_ids, dtype=_np.int64) if self._numpy else row_ids
+        ids = _np.asarray([intern((name, row)) for row in columns.rows], dtype=_np.int64)
         self._foreign_ids[key] = (index, ids)
         return ids
 
     def pool_array(self):
-        """The value pool as an object ndarray (numpy stores only; cached)."""
+        """The value pool as an object ndarray (cached)."""
         if self._pool_obj is None:
             arr = _np.empty(len(self._pool), dtype=object)
             for position, value in enumerate(self._pool):
@@ -309,14 +293,11 @@ class ColumnStore:
 
     def memory_bytes(self) -> int:
         """Approximate bytes held by the encoded columns and id vectors."""
-        total = 0
-        for columns in self._relations.values():
-            for col in list(columns.codes) + [columns.row_ids]:
-                if HAVE_NUMPY and isinstance(col, _np.ndarray):
-                    total += int(col.nbytes)
-                else:
-                    total += sys.getsizeof(col) + 28 * len(col)
-        return total
+        return sum(
+            int(col.nbytes)
+            for columns in self._relations.values()
+            for col in list(columns.codes) + [columns.row_ids]
+        )
 
     # -- incremental maintenance (the write path) ---------------------------
 
@@ -344,7 +325,6 @@ class ColumnStore:
         store._db = new_db
         store._index = self._index
         store._own_index = False
-        store._numpy = self._numpy
         store._pool = self._pool
         store._code_of = self._code_of
         store._pool_nonreflexive = self._pool_nonreflexive
@@ -414,56 +394,23 @@ class ColumnStore:
         the offending rows were tombstoned — conservatively true only ever
         forces the slower exact fallback, never a wrong answer.
         """
-        index = self._index
-        pool = self._pool
-        code_of = self._code_of
-        nonreflexive_codes = self._pool_nonreflexive
-        arity = base.schema.arity
         keep = [row not in tombstones for row in base.rows]
         nonreflexive = list(base.nonreflexive)
-        app_codes: List[List[int]] = [[] for _ in range(arity)]
-        app_ids: List[int] = []
-        for row in appends:
-            app_ids.append(index.intern((name, row)))
-            for position, value in enumerate(row):
-                code = code_of.get(value)
-                if code is None:
-                    code = len(pool)
-                    code_of[value] = code
-                    pool.append(value)
-                    try:
-                        if value != value:
-                            nonreflexive_codes.add(code)
-                    except Exception:
-                        nonreflexive_codes.add(code)
-                if code in nonreflexive_codes:
-                    nonreflexive[position] = True
-                app_codes[position].append(code)
+        app_codes, app_ids = self._encode_rows(name, appends, nonreflexive)
         rows = tuple(itertools.compress(base.rows, keep)) + appends
-        if self._numpy:
-            mask = _np.asarray(keep, dtype=bool)
-            lowered = [
-                _np.concatenate(
-                    [
-                        _np.asarray(base.codes[position], dtype=_np.int64)[mask],
-                        _np.asarray(app_codes[position], dtype=_np.int64),
-                    ]
-                )
-                for position in range(arity)
-            ]
-            ids = _np.concatenate(
+        mask = _np.asarray(keep, dtype=bool)
+        lowered = [
+            _np.concatenate(
                 [
-                    _np.asarray(base.row_ids, dtype=_np.int64)[mask],
-                    _np.asarray(app_ids, dtype=_np.int64),
+                    base.codes[position][mask],
+                    _np.asarray(app_codes[position], dtype=_np.int64),
                 ]
             )
-        else:
-            lowered = [
-                list(itertools.compress(base.codes[position], keep))
-                + app_codes[position]
-                for position in range(arity)
-            ]
-            ids = list(itertools.compress(base.row_ids, keep)) + app_ids
+            for position in range(base.schema.arity)
+        ]
+        ids = _np.concatenate(
+            [base.row_ids[mask], _np.asarray(app_ids, dtype=_np.int64)]
+        )
         self._relations[name] = RelationColumns(
             name, base.schema, rows, lowered, ids, nonreflexive
         )
@@ -527,7 +474,6 @@ class ColumnStore:
         store._db = db
         store._index = SourceIndex()
         store._own_index = True
-        store._numpy = using_numpy()
         store._pool_obj = None
         store._foreign_ids = {}
         store._relations = {}
@@ -570,14 +516,13 @@ class ColumnStore:
                     if not reflexive:
                         nonreflexive_codes.add(code)
                         nonreflexive[position] = True
-            if store._numpy:
-                lowered = [_np.asarray(col, dtype=_np.int64) for col in columns]
-                ids = _np.asarray(row_ids, dtype=_np.int64)
-            else:
-                lowered = columns
-                ids = row_ids
             store._relations[name] = RelationColumns(
-                name, schema, tuple(rows), lowered, ids, nonreflexive
+                name,
+                schema,
+                tuple(rows),
+                [_np.asarray(col, dtype=_np.int64) for col in columns],
+                _np.asarray(row_ids, dtype=_np.int64),
+                nonreflexive,
             )
         store._pool = pool
         store._code_of = {value: code for code, value in enumerate(pool) if filled[code]}

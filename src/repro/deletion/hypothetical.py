@@ -66,7 +66,6 @@ class HypotheticalDeletions:
         "_db",
         "_plan",
         "_prov",
-        "_kernel",
         "_baseline",
         "_workers",
         "_optimizer_level",
@@ -91,7 +90,6 @@ class HypotheticalDeletions:
             except ExponentialGuardError:
                 prov = None  # refused as exponential: compiled-plan fallback
         self._prov = prov
-        self._kernel = prov.kernel if prov is not None else None
         self._baseline: Optional[FrozenSet[Row]] = None
         self._workers = workers
         self._optimizer_level = optimizer_level
@@ -112,7 +110,7 @@ class HypotheticalDeletions:
     @property
     def uses_masks(self) -> bool:
         """True when answers come from witness masks, not plan re-runs."""
-        return self._kernel is not None
+        return self._prov is not None
 
     @property
     def rows(self) -> FrozenSet[Row]:
@@ -129,7 +127,7 @@ class HypotheticalDeletions:
     # ------------------------------------------------------------------
     def view_after(self, deletions: DeletionSet) -> FrozenSet[Row]:
         """The view's rows after hypothetically deleting ``deletions``."""
-        if self._prov is not None:  # masks on the kernel, per-row on legacy
+        if self._prov is not None:
             return self._prov.surviving_rows(deletions)
         return self._plan.rows(self._db.delete(deletions))
 
@@ -145,8 +143,8 @@ class HypotheticalDeletions:
         when more than one is requested (here or at construction); the
         fallback loops the compiled plan over the hypothetical databases.
         """
-        if self._kernel is not None:
-            kernel = self._kernel
+        if self._prov is not None:
+            kernel = self._prov.kernel
             encoded = [kernel.encode_deletions_auto(d) for d in deletion_sets]
             return kernel.batch_surviving_rows(
                 encoded, workers=self._effective_workers(workers)
@@ -193,7 +191,7 @@ class HypotheticalDeletions:
         """This oracle re-pointed at ``db``, reusing what survives a write.
 
         ``prov`` is the already-maintained provenance over ``db`` (a
-        delta-patched kernel wrapped via ``WhyProvenance.from_kernel``);
+        delta-patched kernel wrapped as ``WhyProvenance(kernel)``);
         when omitted, the current provenance carries over unchanged —
         sound exactly when the write left this query's relations untouched
         — and an oracle that was in compiled-plan fallback mode stays in

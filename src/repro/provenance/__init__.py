@@ -39,7 +39,6 @@ from repro.provenance.cache import (
 )
 from repro.provenance.why import (
     WhyProvenance,
-    minimize_monomials,
     why_provenance,
     witnesses_of,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "WhyProvenance",
     "why_provenance",
     "witnesses_of",
-    "minimize_monomials",
     "WhereProvenance",
     "where_provenance",
     "annotate",

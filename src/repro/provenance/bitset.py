@@ -707,7 +707,7 @@ def bitset_why_provenance(
     ``store`` (a :class:`repro.columnar.store.ColumnStore` built over this
     exact ``db`` object) routes the annotated evaluation through the
     vectorized columnar kernels
-    (:meth:`~repro.algebra.plan.CompiledPlan.annotated_rows_columnar`).
+    (:meth:`~repro.algebra.plan.CompiledPlan.annotated_table_columnar`).
     A store over a different database object is ignored.  When no ``index``
     is supplied the store's own interning table is adopted, so its row-id
     vectors translate to witness bits without re-interning.

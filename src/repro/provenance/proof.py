@@ -32,7 +32,7 @@ from repro.algebra.ast import (
     Select,
     Union,
 )
-from repro.algebra.evaluate import _eval as _evaluate_node  # shared row sets
+from repro.algebra.evaluate import evaluate
 from repro.algebra.relation import Database, Row
 from repro.algebra.schema import Schema
 from repro.provenance.locations import SourceTuple
@@ -113,9 +113,11 @@ _EvalMemo = Dict[int, Tuple[Schema, FrozenSet[Row]]]
 
 
 def _node_eval(query: Query, db: Database, memo: _EvalMemo):
+    """(schema, rows) of a sub-query, through its shared compiled plan."""
     cached = memo.get(id(query))
     if cached is None:
-        cached = _evaluate_node(query, db)
+        view = evaluate(query, db)
+        cached = (view.schema, view.rows)
         memo[id(query)] = cached
     return cached
 

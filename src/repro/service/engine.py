@@ -41,7 +41,7 @@ from repro.algebra.evaluate import evaluate
 from repro.algebra.parser import parse_query
 from repro.algebra.plan import DEFAULT_VIEW_NAME
 from repro.algebra.relation import Database, Row
-from repro.columnar import cached_column_store, using_numpy
+from repro.columnar import HAVE_NUMPY, cached_column_store
 from repro.columnar.store import ColumnStore
 from repro.deletion.api import delete_view_tuple, minimum_source_deletion
 from repro.deletion.hypothetical import HypotheticalDeletions
@@ -103,12 +103,12 @@ class ServiceEngine:
     spillable values (the per-database column stores) out to disk and
     re-attach them on the next miss instead of rebuilding.
 
-    ``use_columnar`` routes evaluation and cold provenance builds through
-    the columnar substrate (:mod:`repro.columnar`): each registered
+    Evaluation and cold provenance builds run on the columnar substrate
+    (:mod:`repro.columnar`) exactly when numpy imports: each registered
     database gets one :class:`~repro.columnar.store.ColumnStore`, built on
     first touch through the shared cache and reused by every query over
-    that snapshot.  ``None`` (the default) enables it exactly when numpy
-    is available; answers are bit-identical either way.
+    that snapshot.  Without numpy they run on the tuple plan executor;
+    answers are bit-identical either way.
 
     Use as a context manager, or call :meth:`close` when done: it drops
     the warm state and releases the **process-wide** persistent worker
@@ -125,7 +125,6 @@ class ServiceEngine:
         cache_entries: Optional[int] = None,
         cache_bytes: Optional[int] = None,
         cache_spill_dir: Optional[str] = None,
-        use_columnar: Optional[bool] = None,
         metrics: Optional[MetricsRegistry] = None,
         slow_query_log: Optional[SlowQueryLog] = None,
         slow_query_s: Optional[float] = None,
@@ -144,7 +143,6 @@ class ServiceEngine:
         self._generations: Dict[str, int] = {}
         self._workers = workers
         self._optimizer_level = optimizer_level
-        self._use_columnar = using_numpy() if use_columnar is None else use_columnar
         self._closed = False
         self._counters = {
             "requests": 0,
@@ -289,16 +287,14 @@ class ServiceEngine:
             self._queries[text] = query
 
     def _column_store(self, db: Database) -> "ColumnStore | None":
-        """The shared columnar lowering of ``db``, or None when disabled.
+        """The shared columnar lowering of ``db``, or None without numpy.
 
         Built once per registered database snapshot through the shared
         provenance cache (identity-keyed, in-flight-deduplicated), so
         every query over the same snapshot scans the same encoded
         columns.
         """
-        if not self._use_columnar:
-            return None
-        return cached_column_store(db)
+        return cached_column_store(db) if HAVE_NUMPY else None
 
     def oracle(self, database: str, query_text: str) -> HypotheticalDeletions:
         """The warm per-(database, query) oracle, built on first touch.
@@ -404,8 +400,12 @@ class ServiceEngine:
             for key in [k for k in self._oracles if k[0] == name]:
                 oracle = self._oracles[key]
                 query = self._queries.get(key[1])
+                # ``is not None``: a provenance over an empty view is
+                # falsy (``len() == 0``) but still has a kernel to patch.
                 kernel = (
-                    oracle.provenance.kernel if oracle.provenance else None
+                    oracle.provenance.kernel
+                    if oracle.provenance is not None
+                    else None
                 )
                 if query is not None and changed.isdisjoint(
                     query.relation_names()
@@ -434,7 +434,7 @@ class ServiceEngine:
                         rebuilt += 1
                         continue
                     new_oracle = oracle.rebased(
-                        new_db, prov=WhyProvenance.from_kernel(new_kernel)
+                        new_db, prov=WhyProvenance(new_kernel)
                     )
                     patched += 1
                 prov = new_oracle.provenance
@@ -705,7 +705,8 @@ class ServiceEngine:
         deletion_sets: Sequence[FrozenSet[SourceTuple]],
     ) -> List[Tuple[Row, ...]]:
         """Sorted destroyed-row tuples per candidate, mask path or fallback."""
-        kernel = oracle.provenance.kernel if oracle.provenance else None
+        prov = oracle.provenance
+        kernel = prov.kernel if prov is not None else None
         if kernel is not None:
             encoded = [kernel.encode_deletions_auto(d) for d in deletion_sets]
             destroyed = kernel.batch_destroyed(encoded, workers=self._workers)
@@ -731,7 +732,7 @@ class ServiceEngine:
             counters: Dict[str, object] = copy.deepcopy(self._counters)
             counters["databases"] = len(self._databases)
             counters["warm_oracles"] = len(self._oracles)
-            counters["columnar"] = self._use_columnar
+            counters["columnar"] = HAVE_NUMPY
             sources = dict(self._stats_sources)
         counters["cache"] = copy.deepcopy(provenance_cache.stats())
         counters["pools"] = copy.deepcopy(pool_registry().stats())

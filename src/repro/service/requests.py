@@ -416,13 +416,33 @@ def encode_request(request) -> Dict[str, object]:
     return out
 
 
+def _text(payload: Dict[str, object], key: str, default=None) -> str:
+    """The string field ``key``; required unless a ``default`` is given."""
+    value = payload.get(key, default) if default is not None else payload[key]
+    if not isinstance(value, str):
+        raise ServiceError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _row(payload: Dict[str, object], key: str) -> Row:
+    """The row field ``key``: a list of hashable values, as a tuple."""
+    value = payload[key]
+    if not isinstance(value, list):
+        raise ServiceError(f"{key} must be a list of values, got {value!r}")
+    row = tuple(value)
+    try:
+        hash(row)
+    except TypeError:
+        raise ServiceError(f"{key} holds an unhashable value: {value!r}") from None
+    return row
+
+
 def decode_request(payload: Dict[str, object]):
     """The typed request a wire dict denotes; raises :class:`ServiceError`."""
     if not isinstance(payload, dict):
         raise ServiceError(f"request must be a JSON object, got {payload!r}")
     kind = payload.get("kind")
-    cls = REQUEST_KINDS.get(kind)
-    if cls is None:
+    if not isinstance(kind, str) or kind not in REQUEST_KINDS:
         raise ServiceError(
             f"unknown request kind {kind!r}; expected one of "
             f"{sorted(REQUEST_KINDS)}"
@@ -431,26 +451,26 @@ def decode_request(payload: Dict[str, object]):
         # The observability kinds take no query and an optional database.
         if kind == "stats":
             return StatsRequest(
-                payload.get("database", ""),
-                format=payload.get("format", "json"),
+                _text(payload, "database", ""),
+                format=_text(payload, "format", "json"),
             )
         if kind == "health":
-            return HealthRequest(payload.get("database", ""))
-        database = payload["database"]
+            return HealthRequest(_text(payload, "database", ""))
+        database = _text(payload, "database")
         if kind == "apply_delta":
             return ApplyDeltaRequest(
                 database,
                 _freeze_deletions(payload.get("deletions", ())),
                 _freeze_deletions(payload.get("inserts", ())),
             )
-        query = payload["query"]
+        query = _text(payload, "query")
         if kind == "evaluate":
             return EvaluateRequest(database, query)
         if kind == "why":
-            return WhyRequest(database, query, tuple(payload["row"]))
+            return WhyRequest(database, query, _row(payload, "row"))
         if kind == "where":
             return WhereRequest(
-                database, query, tuple(payload["row"]), payload["attribute"]
+                database, query, _row(payload, "row"), _text(payload, "attribute")
             )
         if kind == "hypothetical":
             return HypotheticalRequest(
@@ -461,8 +481,8 @@ def decode_request(payload: Dict[str, object]):
         return DeleteRequest(
             database,
             query,
-            tuple(payload["target"]),
-            objective=payload.get("objective", "view"),
+            _row(payload, "target"),
+            objective=_text(payload, "objective", "view"),
             exact=bool(payload.get("exact", True)),
         )
     except (KeyError, TypeError, ValueError) as err:

@@ -3,6 +3,17 @@
 import pytest
 
 from repro.algebra import Database, Relation, parse_query
+from repro.columnar import HAVE_NUMPY
+
+
+def pytest_collection_modifyitems(config, items):
+    """Skip ``requires_numpy`` tests where numpy does not import."""
+    if HAVE_NUMPY:
+        return
+    skip = pytest.mark.skip(reason="no numpy: the columnar substrate does not exist")
+    for item in items:
+        if "requires_numpy" in item.keywords:
+            item.add_marker(skip)
 
 
 @pytest.fixture

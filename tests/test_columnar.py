@@ -3,11 +3,13 @@
 Every kernel in :mod:`repro.columnar` must be **bit-identical** to the
 tuple-at-a-time machinery it accelerates: same row sets as the seed
 interpreter, same witness masks as the compiled plan's annotated
-semantics over a shared :class:`~repro.provenance.interning.SourceIndex`,
-on both the numpy path and the forced pure-Python path.  The flat-file /
-mmap layer must round-trip snapshots and column stores exactly, and the
-fast trusted ``Relation`` constructor must not have weakened public
-validation.
+semantics over a shared :class:`~repro.provenance.interning.SourceIndex`.
+The columnar kernels exist only where numpy imports (``requires_numpy``);
+without numpy the tuple executor is the one pure-Python path, and the
+``test_forced_python*`` cases pin it against the oracles on the same
+inputs.  The flat-file / mmap layer must round-trip snapshots and column
+stores exactly, and the fast trusted ``Relation`` constructor must not
+have weakened public validation.
 """
 
 from __future__ import annotations
@@ -18,17 +20,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SchemaError
-from repro.algebra.evaluate import interpret_view_rows
 from repro.algebra.parser import parse_query
 from repro.algebra.plan import compile_plan
 from repro.algebra.relation import Database, Relation
 from repro.columnar import (
     ColumnStore,
     cached_column_store,
-    columnar_annotated,
+    columnar_annotated_table,
     columnar_rows,
-    set_force_python,
-    using_numpy,
 )
 from repro.columnar.flatfile import read_flat, write_flat
 from repro.parallel import ShardSnapshot, sharded_destroyed_indices
@@ -37,19 +36,10 @@ from repro.provenance.cache import ProvenanceCache, provenance_cache
 from repro.provenance.interning import SourceIndex
 from repro.provenance.why import why_provenance
 from repro.provenance.witness_table import WitnessTable
+from repro.oracle import interpret_view_rows, legacy_witnesses
 from repro.workloads import random_instance
 
 seeds = st.integers(min_value=0, max_value=100_000)
-
-
-@pytest.fixture
-def force_python():
-    """Pin the pure-Python columnar kernels for the duration of a test."""
-    set_force_python(True)
-    try:
-        yield
-    finally:
-        set_force_python(False)
 
 
 def _plan(query, db, level=0):
@@ -67,14 +57,30 @@ def _assert_equivalent(query, db):
         assert plan.rows_columnar(store) == expected_rows
         assert columnar_rows(plan, store) == expected_rows
         tuple_table = plan.annotated_rows(db, index)
-        columnar_table = plan.annotated_rows_columnar(store, index)
+        columnar_table = plan.annotated_table_columnar(store, index).to_masks()
         assert columnar_table == tuple_table
-        assert columnar_annotated(plan, store, index) == tuple_table
+        assert columnar_annotated_table(plan, store, index).to_masks() == tuple_table
+
+
+def _assert_tuple_executor_matches_oracles(query, db):
+    """The no-numpy executor: tuple-plan rows and witnesses == the oracles."""
+    expected_rows = interpret_view_rows(query, db)
+    expected_witnesses = legacy_witnesses(query, db)
+    for level in (0, 1):
+        plan = _plan(query, db, level=level)
+        assert plan.rows(db) == expected_rows
+        index = SourceIndex()
+        table = plan.annotated_rows(db, index)
+        assert {
+            row: frozenset(index.decode_mask(mask) for mask in masks)
+            for row, masks in table.items()
+        } == expected_witnesses
 
 
 class TestColumnarEquivalence:
     """Random (database, query) pairs: columnar == interpreter == plan."""
 
+    @pytest.mark.requires_numpy
     @settings(max_examples=60, deadline=None)
     @given(seed=seeds)
     def test_numpy_path(self, seed):
@@ -84,14 +90,11 @@ class TestColumnarEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds)
     def test_forced_python_path(self, seed):
+        """The pure-Python path is the tuple executor, checked on its own."""
         db, query = random_instance(seed, max_depth=3)
-        set_force_python(True)
-        try:
-            assert not using_numpy()
-            _assert_equivalent(query, db)
-        finally:
-            set_force_python(False)
+        _assert_tuple_executor_matches_oracles(query, db)
 
+    @pytest.mark.requires_numpy
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds)
     def test_store_routed_provenance(self, seed):
@@ -148,14 +151,17 @@ def _mixed_db():
 
 
 class TestMixedTypeColumns:
+    @pytest.mark.requires_numpy
     @pytest.mark.parametrize("text", _MIXED_QUERIES)
     def test_numpy(self, text):
         _assert_equivalent(parse_query(text), _mixed_db())
 
     @pytest.mark.parametrize("text", _MIXED_QUERIES)
-    def test_forced_python(self, text, force_python):
-        _assert_equivalent(parse_query(text), _mixed_db())
+    def test_forced_python(self, text):
+        """The no-numpy executor on the encodings that break vectorization."""
+        _assert_tuple_executor_matches_oracles(parse_query(text), _mixed_db())
 
+    @pytest.mark.requires_numpy
     def test_incomparable_types_raise_identically(self):
         """A predicate over mixed-kind columns raises the same error."""
         from repro.errors import EvaluationError
@@ -226,6 +232,7 @@ class TestFlatFile:
             read_flat(path)
 
 
+@pytest.mark.requires_numpy
 class TestColumnStoreSpill:
     def test_spill_round_trip(self, tmp_path):
         db = _mixed_db()

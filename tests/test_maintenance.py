@@ -2,10 +2,11 @@
 
 ``apply_delta`` must be *extensionally equivalent* to tearing everything
 down and rebuilding over the post-delta database: same view rows, same
-decoded witnesses, same hypothetical-deletion answers — on the numpy and
-forced pure-Python paths, across random interleavings of deletes, inserts,
-and queries (Hypothesis), including source ids past 512 and mixed-type
-columns.  Version-stamped snapshots must
+decoded witnesses, same hypothetical-deletion answers — on the numpy
+columnar path and on the tuple executor that is the no-numpy path (checked
+against :mod:`repro.oracle`), across random interleavings of deletes,
+inserts, and queries (Hypothesis), including source ids past 512 and
+mixed-type columns.  Version-stamped snapshots must
 refuse (or transparently replace) stale mmap attachments on the thread and
 spawn pool backends, and the serving engine's warm per-(db, query) oracles
 must be patched/reused — never silently wrong — under real writes and
@@ -24,7 +25,7 @@ from repro.errors import EvaluationError, StaleSnapshotError
 from repro.algebra.parser import parse_query
 from repro.algebra.relation import Database, Relation
 from repro.algebra.stats import MaintainedStatistics, TableStatistics, stats_version
-from repro.columnar.store import ColumnStore, set_force_python
+from repro.columnar.store import ColumnStore
 from repro.deletion.hypothetical import HypotheticalDeletions
 from repro.parallel import executor
 from repro.parallel.executor import _attach_cached, _run_chunk_mmap, sharded_destroyed_indices
@@ -39,24 +40,17 @@ from repro.service.requests import (
     ApplyDeltaRequest,
     ApplyDeltaResponse,
     HypotheticalRequest,
+    WhyRequest,
     decode_request,
     decode_response,
     encode_request,
     encode_response,
 )
+from repro.oracle import legacy_witnesses
 from repro.versioning import DatabaseVersion, Delta, VersionedDatabase
 from repro.workloads import random_instance
 
 seeds = st.integers(min_value=0, max_value=100_000)
-
-
-@pytest.fixture
-def force_python():
-    set_force_python(True)
-    try:
-        yield
-    finally:
-        set_force_python(False)
 
 
 def _base_db():
@@ -202,7 +196,7 @@ class TestKernelApplyDelta:
         _assert_kernels_equal(patched, fresh)
         # the original kernel is never mutated
         _assert_kernels_equal(prov, bitset_why_provenance(query, db))
-        return patched
+        return patched, new_db
 
     def test_deletions_only(self):
         self._check(JOIN_QUERY, _base_db(), [("R", (1, 2)), ("S", (5, 9))], [])
@@ -223,17 +217,20 @@ class TestKernelApplyDelta:
         # kernel must re-annotate — and still match the fresh build.
         self._check(SELF_JOIN_QUERY, _base_db(), [], [("R", (2, 1))])
 
+    @pytest.mark.requires_numpy
     def test_columnar_store_built_kernel(self):
         db = _base_db()
         self._check(
             JOIN_QUERY, db, [("R", (1, 2))], [("S", (2, 42))], store=ColumnStore(db)
         )
 
-    def test_pure_python_kernel(self, force_python):
-        db = _base_db()
-        self._check(
-            JOIN_QUERY, db, [("R", (1, 2))], [("S", (2, 42))], store=ColumnStore(db)
+    def test_pure_python_kernel(self):
+        """The no-numpy path (a tuple-built kernel, no store) patched
+        across a mixed delta decodes to the frozenset oracle."""
+        patched, new_db = self._check(
+            JOIN_QUERY, _base_db(), [("R", (1, 2))], [("S", (2, 42))]
         )
+        assert patched.decode_all() == legacy_witnesses(JOIN_QUERY, new_db)
 
     def test_delta_touching_irrelevant_relation(self):
         self._check(JOIN_QUERY, _base_db(), [("T", (0,))], [("T", (9,))])
@@ -415,7 +412,7 @@ _ops = st.lists(
 )
 
 
-def _run_interleaving(ops):
+def _run_interleaving(ops, against_oracle=False):
     db = Database(
         [
             Relation("R", ("a", "b"), _R_ROWS[:4]),
@@ -429,6 +426,8 @@ def _run_interleaving(ops):
         if op == "query":
             fresh = bitset_why_provenance(query, vdb.db)
             assert _decoded_state(kernel) == _decoded_state(fresh)
+            if against_oracle:
+                assert kernel.decode_all() == legacy_witnesses(query, vdb.db)
             # hypothetical answers ride the patched kernel identically
             candidates = [
                 frozenset({("R", r)}) for r in _R_ROWS[:3]
@@ -468,11 +467,9 @@ class TestInterleavingProperties:
     @settings(max_examples=15, deadline=None)
     @given(ops=_ops)
     def test_interleavings_pure_python(self, ops):
-        set_force_python(True)
-        try:
-            _run_interleaving(ops)
-        finally:
-            set_force_python(False)
+        """The tuple-built kernel (the no-numpy path) stays equal to the
+        frozenset oracle after every write."""
+        _run_interleaving(ops, against_oracle=True)
 
 
 # ----------------------------------------------------------------------
@@ -590,8 +587,9 @@ class TestSnapshotStaleness:
 # ColumnStore append/tombstone form
 # ----------------------------------------------------------------------
 
+@pytest.mark.requires_numpy
 class TestColumnStoreDelta:
-    def _roundtrip(self, force=False):
+    def _roundtrip(self):
         db = _base_db()
         store = ColumnStore(db)
         vdb = VersionedDatabase(db)
@@ -619,9 +617,6 @@ class TestColumnStoreDelta:
 
     def test_numpy_path(self):
         self._roundtrip()
-
-    def test_pure_python_path(self, force_python):
-        self._roundtrip(force=True)
 
     def test_chained_deltas(self):
         db = _base_db()
@@ -712,6 +707,25 @@ class TestEngineWritePath:
             assert stats["deltas_applied"] == 1
             assert stats["oracles_patched"] == 1
             assert stats["oracles_reused"] == 1
+
+    def test_insert_into_empty_view_patches_warm_oracle(self):
+        """An oracle over an empty view still has a kernel to patch.
+
+        Its provenance is falsy (``len() == 0``); treating it as the
+        compiled-plan fallback carried the empty witness table over the
+        insert, and ``why`` then denied a row ``evaluate`` returned.
+        """
+        text = "SELECT[a > 8](R)"
+        with ServiceEngine({"db": _base_db()}) as engine:
+            assert engine.oracle("db", text).rows == frozenset()
+            resp = engine.apply_delta("db", inserts=[("R", (9, 9))])
+            assert resp.patched == 1 and resp.reused == 0
+            why = engine.execute(WhyRequest("db", text, (9, 9)))
+            assert why.ok and why.witnesses == ((("R", (9, 9)),),)
+            hypo = engine.execute(
+                HypotheticalRequest("db", text, frozenset({("R", (9, 9))}))
+            )
+            assert hypo.destroyed == ((9, 9),)
 
     def test_noop_delta_keeps_epoch_and_oracles(self):
         with ServiceEngine({"db": _base_db()}) as engine:
@@ -891,7 +905,7 @@ class TestOracleRebase:
         )
         from repro.provenance.why import WhyProvenance
 
-        rebased = oracle.rebased(vdb.db, prov=WhyProvenance.from_kernel(kernel))
+        rebased = oracle.rebased(vdb.db, prov=WhyProvenance(kernel))
         fresh = HypotheticalDeletions(JOIN_QUERY, vdb.db)
         assert rebased.uses_masks
         assert rebased.rows == fresh.rows

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from repro.algebra import (
     Database,
     Relation,
-    interpret_view_rows,
     parse_predicate,
     parse_query,
 )
@@ -42,6 +41,7 @@ from repro.algebra.stats import (
     stats_version,
 )
 from repro.errors import EvaluationError, SchemaError
+from repro.oracle import interpret_view_rows
 from repro.provenance import SourceIndex, bitset_why_provenance
 from repro.provenance.cache import ProvenanceCache
 from repro.workloads import random_instance

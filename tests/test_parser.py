@@ -3,8 +3,10 @@
 import pytest
 
 from repro.algebra import (
+    Database,
     Join,
     Project,
+    Relation,
     RelationRef,
     Rename,
     Select,
@@ -21,7 +23,14 @@ from repro.algebra.predicates import (
     Or,
     TruePredicate,
 )
+from repro.algebra.parser import MAX_DEPTH
 from repro.errors import ParseError
+from repro.service import (
+    EvaluateRequest,
+    HypotheticalRequest,
+    ServiceEngine,
+    WhyRequest,
+)
 
 
 class TestQueryParsing:
@@ -136,3 +145,71 @@ class TestPredicateParsing:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_predicate("A = 1 B")
+
+
+def _deep_shapes(depth):
+    """One query per way of stacking ``depth`` tree levels (or nestings)."""
+    inner = depth - 1
+    return {
+        "select": "SELECT[TRUE](" * inner + "R" + ")" * inner,
+        "project": "PROJECT[A, B](" * inner + "R" + ")" * inner,
+        "rename": "".join(
+            "RENAME[A -> Z](" if i % 2 == 0 else "RENAME[Z -> A]("
+            for i in range(inner)
+        )
+        + "R"
+        + ")" * inner,
+        "join_chain": " JOIN ".join(["R"] * depth),
+        "union_chain": " UNION ".join(["R"] * depth),
+        "right_joins": "(R JOIN " * inner + "R" + ")" * inner,
+        "parentheses": "(" * depth + "R" + ")" * depth,
+        "not_chain": "SELECT[" + "NOT " * (depth - 2) + "A = 1](R)",
+        "and_chain": "SELECT[" + " AND ".join(["A = 1"] * inner) + "](R)",
+        "predicate_parentheses": (
+            "SELECT[" + "(" * inner + "A = 1" + ")" * inner + "](R)"
+        ),
+    }
+
+
+class TestDepthLimit:
+    """Nesting and tree height are bounded by MAX_DEPTH, on both sides."""
+
+    @pytest.mark.parametrize("shape", sorted(_deep_shapes(MAX_DEPTH)))
+    def test_at_limit_parses_and_serves(self, shape):
+        """A query at the limit compiles, evaluates and annotates."""
+        text = _deep_shapes(MAX_DEPTH)[shape]
+        parse_query(text)
+        db = Database([Relation("R", ["A", "B"], [(1, 2), (3, 4)])])
+        with ServiceEngine({"db": db}) as engine:
+            rows = engine.execute(EvaluateRequest("db", text))
+            assert rows.ok, rows
+            assert set(rows.rows) <= {(1, 2), (3, 4)}
+            assert engine.execute(WhyRequest("db", text, (1, 2))).ok
+            hypo = engine.execute(
+                HypotheticalRequest("db", text, frozenset({("R", (1, 2))}))
+            )
+            assert hypo.ok and (1, 2) in hypo.destroyed
+
+    @pytest.mark.parametrize("shape", sorted(_deep_shapes(MAX_DEPTH + 1)))
+    def test_past_limit_is_a_parse_error(self, shape):
+        with pytest.raises(ParseError, match=str(MAX_DEPTH)):
+            parse_query(_deep_shapes(MAX_DEPTH + 1)[shape])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * 3000 + "R" + ")" * 3000,
+            "SELECT[" + "NOT " * 3000 + "TRUE](R)",
+            " UNION ".join(["R"] * 3000),
+        ],
+    )
+    def test_far_past_limit_is_a_parse_error_not_recursion(self, text):
+        with pytest.raises(ParseError):
+            parse_query(text)
+
+    def test_bare_predicates_are_bounded_too(self):
+        parse_predicate(" OR ".join(["A = 1"] * MAX_DEPTH))
+        with pytest.raises(ParseError):
+            parse_predicate(" OR ".join(["A = 1"] * (MAX_DEPTH + 1)))
+        with pytest.raises(ParseError):
+            parse_predicate("NOT " * 3000 + "TRUE")

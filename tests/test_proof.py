@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algebra import Database, Relation, parse_query
 from repro.provenance.proof import Fact, Derivation, derivations, render_proof
-from repro.provenance.why import minimize_monomials, why_provenance
+from repro.oracle import minimize_monomials
+from repro.provenance.why import why_provenance
 from repro.workloads import random_instance
 
 

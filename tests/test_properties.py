@@ -14,7 +14,6 @@ from repro.algebra import (
     Database,
     Relation,
     evaluate,
-    interpret_view_rows,
     normalize,
     parse_query,
     view_rows,
@@ -28,6 +27,7 @@ from repro.deletion import (
     verify_plan,
 )
 from repro.errors import InfeasibleError
+from repro.oracle import interpret_view_rows, legacy_witnesses
 from repro.parallel import sharded_destroyed_indices
 from repro.parallel.shards import HAVE_NUMPY
 from repro.provenance import (
@@ -98,8 +98,9 @@ class TestWhyProvenanceSurvival:
 class TestBitsetKernelEquivalence:
     """The bitset kernel is extensionally equal to the frozenset semantics.
 
-    The oracle is the pre-kernel frozenset evaluator (``engine="legacy"``),
-    which the seed test suite validated against independent re-evaluation.
+    The oracles live in :mod:`repro.oracle`: the seed frozenset witness
+    evaluator (``legacy_witnesses``) and, for survival, re-interpretation
+    of the query over ``db.delete(T)`` (``interpret_view_rows``).
     """
 
     @settings(max_examples=60, deadline=None)
@@ -107,45 +108,43 @@ class TestBitsetKernelEquivalence:
     def test_same_minimal_witnesses(self, seed):
         """Decoded kernel witnesses == legacy witnesses, on every view row."""
         db, query = random_instance(seed, max_depth=3)
-        legacy = why_provenance(query, db, engine="legacy")
+        legacy = legacy_witnesses(query, db)
         kernel = why_provenance(query, db)
-        assert kernel.as_dict() == legacy.as_dict()
+        assert kernel.as_dict() == legacy
         # The raw kernel object agrees as well (no wrapper magic involved).
-        assert bitset_why_provenance(query, db).decode_all() == legacy.as_dict()
+        assert bitset_why_provenance(query, db).decode_all() == legacy
 
     @settings(max_examples=50, deadline=None)
     @given(seed=seeds)
     def test_same_survival_and_side_effects(self, seed):
-        """survives/side_effects agree on random deletion sets and targets."""
+        """survives/side_effects agree with re-interpreting the query."""
         db, query = random_instance(seed, max_depth=3)
-        legacy = why_provenance(query, db, engine="legacy")
         kernel = why_provenance(query, db)
-        rows = legacy.rows
+        rows = kernel.rows
         if not rows:
             return
+        view = interpret_view_rows(query, db)
         rng = random.Random(seed)
         tuples = list(db.all_source_tuples())
         for _ in range(4):
             deletions = frozenset(
                 rng.sample(tuples, rng.randint(0, min(4, len(tuples))))
             )
+            after = interpret_view_rows(query, db.delete(deletions))
             target = rows[rng.randrange(len(rows))]
-            assert kernel.side_effects(target, deletions) == legacy.side_effects(
-                target, deletions
+            assert kernel.side_effects(target, deletions) == (
+                view - after - {target}
             )
             for row in rows:
-                assert kernel.survives(row, deletions) == legacy.survives(
-                    row, deletions
-                )
+                assert kernel.survives(row, deletions) == (row in after)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=seeds)
     def test_same_witness_universe(self, seed):
         db, query = random_instance(seed, max_depth=3)
-        legacy = why_provenance(query, db, engine="legacy")
         kernel = why_provenance(query, db)
-        for row in legacy.rows:
-            assert kernel.witness_universe(row) == legacy.witness_universe(row)
+        for row, witnesses in legacy_witnesses(query, db).items():
+            assert kernel.witness_universe(row) == frozenset().union(*witnesses)
 
 
 def _padded_kernel(query, db, pad):

@@ -15,6 +15,7 @@ from repro.provenance import (
     provenance_cache,
     why_provenance,
 )
+from repro.oracle import interpret_view_rows, legacy_witnesses
 from repro.deletion import (
     count_minimal_translations,
     delete_view_tuple,
@@ -130,23 +131,21 @@ class TestBitsetProvenance:
     def test_matches_legacy_engine(self, tiny):
         db, query = tiny
         kernel = bitset_why_provenance(query, db)
-        legacy = why_provenance(query, db, engine="legacy")
-        assert kernel.decode_all() == legacy.as_dict()
+        assert kernel.decode_all() == legacy_witnesses(query, db)
 
     def test_survives_and_side_effects_masks(self, tiny):
         db, query = tiny
         kernel = bitset_why_provenance(query, db)
-        legacy = why_provenance(query, db, engine="legacy")
+        view = interpret_view_rows(query, db)
         for target in kernel.rows:
             for source in db.all_source_tuples():
                 deletions = frozenset({source})
+                after = interpret_view_rows(query, db.delete(deletions))
                 mask = kernel.index.encode(deletions)
-                assert kernel.survives_mask(target, mask) == legacy.survives(
-                    target, deletions
+                assert kernel.survives_mask(target, mask) == (target in after)
+                assert kernel.side_effects_mask(target, mask) == (
+                    view - after - {target}
                 )
-                assert kernel.side_effects_mask(
-                    target, mask
-                ) == legacy.side_effects(target, deletions)
 
     def test_missing_row_raises(self, tiny):
         db, query = tiny
@@ -177,12 +176,12 @@ class TestWhyProvenanceKernelBacked:
         db, query, _ = sj_workload(10, seed=0)
         prov = why_provenance(query, db)
         assert isinstance(prov.kernel, BitsetProvenance)
-        assert why_provenance(query, db, engine="legacy").kernel is None
 
     def test_unknown_engine_rejected(self):
+        """There is one engine: why_provenance takes no engine option."""
         db, query, _ = sj_workload(5, seed=0)
-        with pytest.raises(ReproError):
-            why_provenance(query, db, engine="numpy")
+        with pytest.raises(TypeError):
+            why_provenance(query, db, engine="legacy")
 
     def test_lazy_decode_is_cached(self):
         db, query, _ = sj_workload(10, seed=0)
@@ -191,6 +190,7 @@ class TestWhyProvenanceKernelBacked:
         assert prov.witnesses(row) is prov.witnesses(row)
 
     def test_constructor_requires_witnesses_or_kernel(self):
+        """WhyProvenance only wraps a kernel; a schema alone is refused."""
         db, query, _ = sj_workload(5, seed=0)
         schema = why_provenance(query, db).schema
         with pytest.raises(ReproError):
@@ -257,11 +257,3 @@ class TestProvParameter:
         plans = enumerate_deletion_plans(query, db, target, prov=prov)
         count = count_minimal_translations(query, db, target, prov=prov)
         assert len(plans) == count
-
-    def test_legacy_prov_parameter_gives_same_plans(self):
-        db, query, target = sj_workload(12, seed=1)
-        legacy = why_provenance(query, db, engine="legacy")
-        provenance_cache.clear()
-        via_legacy = delete_view_tuple(query, db, target, prov=legacy)
-        via_kernel = delete_view_tuple(query, db, target)
-        assert via_legacy == via_kernel

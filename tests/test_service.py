@@ -15,9 +15,11 @@ import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.algebra import Database, Relation, evaluate, parse_query
 from repro.deletion import HypotheticalDeletions, delete_view_tuple, minimum_source_deletion
+from repro.observability import MetricsRegistry
 from repro.provenance import where_provenance, why_provenance
 from repro.service import (
     DeleteRequest,
@@ -38,6 +40,7 @@ from repro.service import (
     encode_request,
     encode_response,
 )
+from repro.service.requests import REQUEST_KINDS
 from repro.workloads import usergroup_workload
 
 QUERY = "PROJECT[user, file](UserGroup JOIN GroupFile)"
@@ -581,6 +584,9 @@ class TestServerAnswersEveryLine:
         good = encode_request(EvaluateRequest("db", QUERY))
         good["id"] = 4
         deep = "(" * 3000 + "UserGroup" + ")" * 3000
+        deep_predicate = "SELECT[" + "NOT " * 3000 + "TRUE](UserGroup)"
+        internal = engine.metrics.counter("server.internal_errors")
+        internal_before = internal.value
         lines = [
             json.dumps(
                 {"id": 1, "kind": "hypothetical", "database": "db",
@@ -593,15 +599,24 @@ class TestServerAnswersEveryLine:
                  "query": deep, "deletions": []}
             ),
             json.dumps(good),
+            json.dumps(
+                {"id": 5, "kind": "evaluate", "database": "db",
+                 "query": deep_predicate}
+            ),
         ]
         raw = _run_server_session(engine, lines)
-        assert len(raw) == 4
+        assert len(raw) == 5
         by_id = {r["id"]: r for r in raw}
-        assert sorted(by_id) == [1, 2, 3, 4]
+        assert sorted(by_id) == [1, 2, 3, 4, 5]
         assert not by_id[1]["ok"] and "relation, row" in by_id[1]["error"]
         assert not by_id[2]["ok"] and "timeout_ms" in by_id[2]["error"]
-        assert not by_id[3]["ok"]
+        # Too-deep input is a parse error, not a crash behind the catch-all.
+        for deep_id in (3, 5):
+            assert not by_id[deep_id]["ok"]
+            assert "nesting deeper than" in by_id[deep_id]["error"]
+            assert "internal error" not in by_id[deep_id]["error"]
         assert by_id[4]["ok"]
+        assert internal.value == internal_before
 
     def test_unexpected_error_still_answers_and_counts(self, engine, monkeypatch):
         from repro.service import server as server_module
@@ -691,3 +706,100 @@ class TestServerAnswersEveryLine:
         (raw,) = _run_server_session(engine, [json.dumps(envelope)])
         assert raw["id"] == 7 and not raw["ok"]
         assert "timeout_ms must be a finite number" in raw["error"]
+
+
+#: Arbitrary JSON values, NaN and infinities included (the server's
+#: json.loads accepts the bare literals json.dumps writes for them).
+_json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.floats(),
+        st.text(max_size=6),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+#: Request-shaped objects: a real or fuzzed kind, plausible or fuzzed fields.
+_fuzzed_requests = st.fixed_dictionaries(
+    {"kind": st.one_of(st.sampled_from(sorted(REQUEST_KINDS)), _json_values)},
+    optional={
+        "database": st.one_of(st.just("db"), _json_values),
+        "query": st.one_of(st.just(QUERY), _json_values),
+        "deletions": st.one_of(st.just([["GroupFile", ["g1", "f1"]]]), _json_values),
+        "inserts": _json_values,
+        "timeout_ms": st.one_of(
+            st.floats(), st.integers(min_value=-(2**70), max_value=2**70), _json_values
+        ),
+        "row": st.one_of(st.just(["joe", "f1"]), _json_values),
+        "target": st.one_of(st.just(["joe", "f1"]), _json_values),
+        "attribute": st.one_of(st.just("user"), _json_values),
+        "objective": _json_values,
+        "format": _json_values,
+    },
+)
+
+
+def _answerable(line: bytes) -> bool:
+    """One request line the server must answer: no newline, not blank."""
+    return b"\n" not in line and bool(line.decode("utf-8", "replace").strip())
+
+
+_wire_lines = st.lists(
+    st.one_of(
+        _json_values.map(lambda v: json.dumps(v).encode()),
+        _fuzzed_requests.map(lambda v: json.dumps(v).encode()),
+        st.binary(min_size=1, max_size=40).filter(_answerable),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestWireFuzz:
+    """Arbitrary lines over a live socket: one answer each, server unharmed."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(lines=_wire_lines)
+    def test_every_line_answered_and_server_keeps_serving(self, db, lines):
+        metrics = MetricsRegistry()
+        probe = dict(encode_request(EvaluateRequest("db", QUERY)), id="probe")
+
+        async def session(engine):
+            server = ServiceServer(engine, default_timeout_s=10.0)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            for line in lines:
+                writer.write(line + b"\n")
+            await writer.drain()
+            answers = [
+                json.loads(await asyncio.wait_for(reader.readline(), timeout=15))
+                for _ in lines
+            ]
+            writer.write((json.dumps(probe) + "\n").encode())
+            writer.write_eof()
+            probe_answer = json.loads(
+                await asyncio.wait_for(reader.readline(), timeout=15)
+            )
+            trailing = await asyncio.wait_for(reader.read(), timeout=15)
+            writer.close()
+            await server.aclose()
+            return answers, probe_answer, trailing
+
+        with ServiceEngine({"db": db}, metrics=metrics) as engine:
+            answers, probe_answer, trailing = asyncio.run(session(engine))
+            expected = encode_response(engine.execute(decode_request(probe)))
+        assert all(isinstance(answer.get("ok"), bool) for answer in answers)
+        assert trailing == b""  # exactly one answer per line, nothing more
+        assert probe_answer.pop("id") == "probe"
+        assert probe_answer == expected and probe_answer["ok"]
+        assert metrics.counter("server.internal_errors").value == 0

@@ -439,22 +439,6 @@ class TestProvenanceRefusedFallback:
             HypotheticalDeletions(query, db)
 
 
-class TestLegacyEngineIgnoresWorkers:
-    def test_legacy_prov_batch_side_effects_with_workers(self):
-        db, query, target = sj_workload(10, seed=3)
-        legacy = why_provenance(query, db, engine="legacy")
-        bitset = why_provenance(query, db)
-        rng = random.Random(5)
-        sources = db.all_source_tuples()
-        deletion_sets = [
-            frozenset(rng.sample(sources, rng.randint(1, 2))) for _ in range(10)
-        ]
-        target = tuple(target)
-        assert legacy.batch_side_effects(target, deletion_sets, workers=4) == (
-            bitset.batch_side_effects(target, deletion_sets, workers=4)
-        )
-
-
 class TestSnapshotAgainstEmptyView:
     def test_empty_view_answers_empty(self):
         db = Database(

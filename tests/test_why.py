@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algebra import Database, Relation, parse_query, view_rows
 from repro.errors import InfeasibleError
-from repro.provenance.why import minimize_monomials, why_provenance, witnesses_of
+from repro.oracle import minimize_monomials
+from repro.provenance.why import why_provenance, witnesses_of
 from repro.workloads import random_instance
 
 

@@ -3,11 +3,14 @@
 :class:`~repro.provenance.witness_table.WitnessTable` stores the annotated
 executor's ``row -> minimized mask tuple`` table as three flat arrays.  The
 invariant every test here circles: whatever the container kind (numpy
-arrays from the vectorized kernels, lists from the forced pure-Python
-path), whatever the bit positions (including ids past 512 and 1024),
-and whatever the transport (pickle, flat file, mmap),
+arrays from the vectorized kernels, lists from the tuple executor that is
+the no-numpy path), whatever the bit positions (including ids past 512
+and 1024), and whatever the transport (pickle, flat file, mmap),
 the table decodes to exactly the dict-of-int-masks oracle the tuple
-executor produces — element for element, not just as sets.
+executor produces — element for element, not just as sets.  Tables come
+from the columnar kernels where numpy imports and from the tuple
+executor otherwise; the ``*forced_python*`` cases pin the tuple-built
+(list-backed) table against the frozenset oracle on every leg.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.algebra.parser import parse_query
 from repro.algebra.plan import compile_plan
 from repro.algebra.relation import Database, Relation
-from repro.columnar import ColumnStore, columnar_annotated_table, set_force_python
+from repro.columnar import HAVE_NUMPY, ColumnStore, columnar_annotated_table
 from repro.parallel import ShardSnapshot
 from repro.provenance import (
     SourceIndex,
@@ -31,28 +34,14 @@ from repro.provenance import (
     provenance_cache,
     iter_bits,
 )
+from repro.oracle import legacy_witnesses
 from repro.service import HypotheticalRequest, ServiceEngine
 from repro.workloads import random_instance
 
-seeds = st.integers(min_value=0, max_value=100_000)
-
-try:
+if HAVE_NUMPY:
     import numpy as np
 
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the no-numpy CI leg
-    np = None
-    HAVE_NUMPY = False
-
-
-@pytest.fixture
-def force_python():
-    """Pin the pure-Python columnar kernels for the duration of a test."""
-    set_force_python(True)
-    try:
-        yield
-    finally:
-        set_force_python(False)
+seeds = st.integers(min_value=0, max_value=100_000)
 
 
 def _plan(query, db, level=0):
@@ -61,13 +50,33 @@ def _plan(query, db, level=0):
 
 
 def _table_and_oracle(query, db, level=0, index=None):
-    """The CSR table and the tuple executor's oracle, over a shared index."""
+    """The platform's CSR table and the tuple executor's oracle, over a
+    shared index: columnar-built with numpy, tuple-built without."""
     plan = _plan(query, db, level=level)
     index = SourceIndex() if index is None else index
-    store = ColumnStore(db, index=index)
-    table = columnar_annotated_table(plan, store, index)
     oracle = plan.annotated_rows(db, index)
+    if HAVE_NUMPY:
+        table = columnar_annotated_table(plan, ColumnStore(db, index=index), index)
+    else:
+        table = WitnessTable.from_masks(oracle)
     return table, oracle
+
+
+def _platform_store(db):
+    """The column store the serving engine would use: None without numpy."""
+    return ColumnStore(db) if HAVE_NUMPY else None
+
+
+def _tuple_table_and_oracle(query, db, index=None):
+    """The no-numpy path's list-backed table (built exactly as
+    ``bitset_why_provenance`` builds it without a store) and its witnesses
+    decoded next to the frozenset oracle's."""
+    index = SourceIndex() if index is None else index
+    kernel = bitset_why_provenance(query, db, index=index, optimizer_level=1)
+    table = kernel._table
+    assert isinstance(table.bit_ids, list)
+    assert kernel.decode_all() == legacy_witnesses(query, db)
+    return table, table.to_masks()
 
 
 def _assert_matches_oracle(table, oracle):
@@ -109,6 +118,7 @@ def _assert_survival_index_matches(table, oracle):
 class TestCsrOracleEquivalence:
     """Random (database, query) pairs: CSR table == dict-of-int oracle."""
 
+    @pytest.mark.requires_numpy
     @settings(max_examples=50, deadline=None)
     @given(seed=seeds)
     def test_numpy_path(self, seed):
@@ -120,15 +130,11 @@ class TestCsrOracleEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(seed=seeds)
     def test_forced_python_path(self, seed):
+        """The tuple-built table: list containers, canonical CSR, and the
+        frozenset oracle's witnesses."""
         db, query = random_instance(seed, max_depth=3)
-        set_force_python(True)
-        try:
-            table, oracle = _table_and_oracle(query, db, level=1)
-            # The fallback builds list containers end to end.
-            assert isinstance(table.bit_ids, list)
-            _assert_matches_oracle(table, oracle)
-        finally:
-            set_force_python(False)
+        table, oracle = _tuple_table_and_oracle(query, db)
+        _assert_matches_oracle(table, oracle)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=seeds)
@@ -173,14 +179,15 @@ _MIXED_QUERIES = [
 
 
 class TestMixedTypeColumns:
+    @pytest.mark.requires_numpy
     @pytest.mark.parametrize("text", _MIXED_QUERIES)
     def test_numpy(self, text):
         table, oracle = _table_and_oracle(parse_query(text), _mixed_db(), level=1)
         _assert_matches_oracle(table, oracle)
 
     @pytest.mark.parametrize("text", _MIXED_QUERIES)
-    def test_forced_python(self, text, force_python):
-        table, oracle = _table_and_oracle(parse_query(text), _mixed_db(), level=1)
+    def test_forced_python(self, text):
+        table, oracle = _tuple_table_and_oracle(parse_query(text), _mixed_db())
         _assert_matches_oracle(table, oracle)
 
 
@@ -210,10 +217,11 @@ class TestSegmentBoundaries:
         _assert_survival_index_matches(table, oracle)
 
     @pytest.mark.parametrize("pad", [511, 512])
-    def test_straddling_ids_forced_python(self, pad, force_python):
+    def test_straddling_ids_forced_python(self, pad):
         query, db, index = self._padded_instance(pad)
-        table, oracle = _table_and_oracle(query, db, level=1, index=index)
+        table, oracle = _tuple_table_and_oracle(query, db, index=index)
         _assert_matches_oracle(table, oracle)
+        assert max(table.as_lists()[2]) >= pad
 
     def test_bit_runs_builder_matches_from_bits(self):
         """The survival index splits the flat bit runs per witness and
@@ -292,8 +300,7 @@ class TestRoundTrips:
 
     def test_snapshot_pickle_round_trip(self):
         db, query = random_instance(23, max_depth=3)
-        store = ColumnStore(db)
-        prov = bitset_why_provenance(query, db, store=store)
+        prov = bitset_why_provenance(query, db, store=_platform_store(db))
         snap = prov._shard_snapshot()
         assert snap._table is prov._table  # adopted, not re-encoded
         clone = pickle.loads(pickle.dumps(snap))
@@ -303,8 +310,7 @@ class TestRoundTrips:
 
     def test_snapshot_mmap_round_trip(self, tmp_path):
         db, query = random_instance(23, max_depth=3)
-        store = ColumnStore(db)
-        prov = bitset_why_provenance(query, db, store=store)
+        prov = bitset_why_provenance(query, db, store=_platform_store(db))
         snap = prov._shard_snapshot()
         path = str(tmp_path / "snap.flat")
         snap.write_file(path)
@@ -318,6 +324,7 @@ class TestRoundTrips:
 
 
 class TestBuildCounters:
+    @pytest.mark.requires_numpy
     def test_build_stats_and_cache_counters(self):
         db, query = random_instance(31, max_depth=3)
         provenance_cache.clear()
