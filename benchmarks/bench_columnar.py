@@ -25,16 +25,7 @@ Two instance groups:
   a larger share and the honest expectation is a smaller win.
 
 Plus the **memory footprint** per tracked instance — the store's encoded
-column/id-vector bytes against an estimate of the tuple-side row objects
-— and the **mmap snapshot-shipping ablation** behind
-``sharded_destroyed_indices(ship_mmap=True)``: instead of pickling the
-full :class:`~repro.parallel.shards.ShardSnapshot` to every worker, the
-snapshot is written once to its flat memory-mapped file and each worker's
-task ships only the *path* plus its chunk of bit-id deletions.  The
-check is bit-identical answers and a task payload smaller than the
-snapshot pickle.  (A CSR snapshot pickles as flat id lists, so padding
-the interned universe no longer inflates it; the reported ratio tracks
-the view's size, not the universe's.)
+column/id-vector bytes against an estimate of the tuple-side row objects.
 
 Both paths are warmed (and asserted equal) before timing, so plan
 compilation and store construction are excluded from both sides.
@@ -47,7 +38,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pickle
 import sys
 from statistics import median
 from typing import Callable, Dict, List, Tuple
@@ -58,11 +48,8 @@ import pytest
 pytest.importorskip("numpy")
 
 from repro.columnar import ColumnStore, columnar_rows
-from repro.parallel import ShardSnapshot, plan_shards, sharded_destroyed_indices
 from repro.provenance import provenance_cache
-from repro.provenance.bitset import bitset_why_provenance
 from repro.provenance.cache import cached_plan
-from repro.provenance.interning import SourceIndex
 from repro.workloads import (
     chain_workload,
     sj_workload,
@@ -77,13 +64,6 @@ JSON_PATH = os.path.join(REPO_ROOT, "BENCH_plan.json")
 
 #: The acceptance bar on the scale group's median tuple-vs-columnar speedup.
 TARGET_MEDIAN = 3.0
-
-#: Unrelated interned ids placed before the mmap ablation's own source
-#: tuples (the serving engine's warm shared-index shape).
-PAD_IDS = 512 * 512
-
-#: Chunks the mmap ablation splits the mask vector into (workers' tasks).
-MMAP_CHUNKS = 4
 
 #: The optimizer level whose compiled plans both paths execute.
 PLAN_LEVEL = 1
@@ -151,51 +131,6 @@ def build_smoke_scenarios() -> Dict[str, tuple]:
     return out
 
 
-def _mmap_ablation(
-    pad_ids: int = PAD_IDS,
-    rows: int = 200,
-    workers: int = 2,
-    backend: str = "thread",
-) -> Dict[str, object]:
-    """Full-snapshot pickle vs per-worker mmap task payload bytes.
-
-    A padded SPU workload — the witness tables' live bits sit past
-    ``pad_ids`` ids of dead universe, the serving engine's shared-index
-    shape.  Both modes ship the same bit-id deletion tuples; only the
-    snapshot transfer differs: the whole pickled snapshot per worker
-    against one shared flat file attached via ``np.memmap`` with a path
-    string per task.
-    """
-    db, query, _target = spu_workload(rows, seed=3)
-    index = SourceIndex()
-    for i in range(pad_ids):
-        index.intern(("__pad__", (i,)))
-    kernel = bitset_why_provenance(query, db, index=index)
-    snapshot = kernel._shard_snapshot()
-    masks = [
-        kernel.encode_deletions_auto(frozenset({source}))
-        for source in db.all_source_tuples()
-    ]
-    full_bytes = len(pickle.dumps(snapshot))
-    path = snapshot.mmap_file()
-    task_bytes = [
-        len(pickle.dumps((path, list(masks[start:stop]), snapshot.version)))
-        for start, stop in plan_shards(len(masks), MMAP_CHUNKS)
-    ]
-    serial = sharded_destroyed_indices(snapshot, masks, workers=1, backend="serial")
-    via_mmap = sharded_destroyed_indices(
-        snapshot, masks, workers=workers, backend=backend, ship_mmap=True
-    )
-    return {
-        "workload": f"padded spu_rows{rows} (pad_ids={pad_ids})",
-        "full_snapshot_bytes": full_bytes,
-        "max_task_payload_bytes": max(task_bytes),
-        "path_only_bytes": len(pickle.dumps(path)),
-        "reduction": full_bytes / max(max(task_bytes), 1),
-        "answers_match": via_mmap == serial,
-    }
-
-
 def _measure(
     scenarios: Dict[str, Tuple[str, tuple]], repeats: int
 ) -> List[Dict[str, object]]:
@@ -224,7 +159,6 @@ def _measure(
 
 def _emit(
     entries: List[Dict[str, object]],
-    mmap_stats: Dict[str, object],
     json_path: str = JSON_PATH,
 ) -> Dict[str, object]:
     def group_median(group: str) -> float:
@@ -241,11 +175,9 @@ def _emit(
         "but untracked)",
         "plan_level": PLAN_LEVEL,
         "entries": entries,
-        "all_answers_match": all(e["match"] for e in entries)
-        and bool(mmap_stats["answers_match"]),
+        "all_answers_match": all(e["match"] for e in entries),
         "median_speedup": group_median("scale"),
         "median_speedup_mid": group_median("mid"),
-        "snapshot_mmap": mmap_stats,
     }
     data: Dict[str, object] = {}
     if os.path.exists(json_path):
@@ -289,11 +221,6 @@ def _emit(
         f"{section['median_speedup']:.2f}x (target ≥ {TARGET_MEDIAN}x)",
         f"median speedup (mid group, untracked): "
         f"{section['median_speedup_mid']:.2f}x",
-        f"snapshot shipping: full pickle {mmap_stats['full_snapshot_bytes']} "
-        f"B vs largest mmap task payload "
-        f"{mmap_stats['max_task_payload_bytes']} B — "
-        f"{mmap_stats['reduction']:.1f}x reduction "
-        f"(path itself is {mmap_stats['path_only_bytes']} B)",
         f"provenance cache during the run: {provenance_cache.stats()}",
         f"json: {json_path} (key: columnar)",
     ]
@@ -315,23 +242,13 @@ def test_columnar_matches_tuple_smoke(benchmark, name):
     benchmark(col_path)
 
 
-@pytest.mark.bench_smoke
-def test_columnar_mmap_ship_smoke(benchmark):
-    """bench-smoke: mmap-shipped snapshots answer identically, payloads tiny."""
-    stats = _mmap_ablation(pad_ids=8 * 512, rows=30, workers=2, backend="serial")
-    assert stats["answers_match"]
-    assert stats["reduction"] > 1.0, stats
-    benchmark(lambda: None)
-
-
 def test_regenerate_bench_columnar(benchmark):
-    """Full comparison: scale + mid scaling families, mmap ablation."""
+    """Full comparison: scale + mid scaling families."""
     provenance_cache.clear()  # counters scoped to this run (reset by clear)
     entries = _measure(build_scenarios(), repeats=5)
-    section = _emit(entries, _mmap_ablation())
+    section = _emit(entries)
     assert section["all_answers_match"]
     assert section["median_speedup"] >= TARGET_MEDIAN, section["median_speedup"]
-    assert section["snapshot_mmap"]["reduction"] > 1.0, section["snapshot_mmap"]
     benchmark(lambda: None)  # regeneration is correctness-, not time-bound
 
 
@@ -345,20 +262,13 @@ def main(argv: "list[str] | None" = None) -> None:
     args = parser.parse_args(argv)
     provenance_cache.clear()  # counters scoped to this run (reset by clear)
     entries = _measure(build_scenarios(), repeats=5)
-    section = _emit(entries, _mmap_ablation(), json_path=args.json)
+    section = _emit(entries, json_path=args.json)
     if not section["all_answers_match"]:
         raise SystemExit("answer mismatch — see report")
     if section["median_speedup"] < TARGET_MEDIAN:
         raise SystemExit(
             f"columnar speedup {section['median_speedup']:.2f}x is below "
             f"{TARGET_MEDIAN}x on the scale group"
-        )
-    if section["snapshot_mmap"]["reduction"] <= 1.0:
-        raise SystemExit(
-            f"an mmap task payload "
-            f"({section['snapshot_mmap']['max_task_payload_bytes']} B) is not "
-            f"smaller than the snapshot pickle "
-            f"({section['snapshot_mmap']['full_snapshot_bytes']} B)"
         )
 
 

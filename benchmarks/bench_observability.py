@@ -48,7 +48,6 @@ from repro.observability import (
     set_default_registry,
 )
 from repro.observability.tracing import tracer
-from repro.parallel.executor import close_pools
 from repro.provenance import provenance_cache
 from repro.service import (
     EvaluateRequest,
@@ -313,12 +312,9 @@ def _emit(
 
 def _run_full(json_path: str = JSON_PATH) -> Dict[str, object]:
     provenance_cache.clear()
-    close_pools()
     overhead = _measure_overhead()
     probe = _probe_live_stats()
-    section = _emit(overhead, probe, json_path=json_path)
-    close_pools()
-    return section
+    return _emit(overhead, probe, json_path=json_path)
 
 
 def _probe_ok(probe: Dict[str, object]) -> bool:

@@ -1,4 +1,4 @@
-"""The serving engine, measured: per-request vs batched+persistent-pool.
+"""The serving engine, measured: per-request vs batched execution.
 
 The serving scenario the ROADMAP's north star names: a long-lived process
 answering a high-volume mix of evaluate / provenance / hypothetical-deletion
@@ -17,20 +17,19 @@ arrival times are scheduled up front at a rate the system does not control
   compile-once plan memo of PR 2/3, so the baseline is the strongest
   per-request execution the library offers without the serving engine's
   warm state), and nothing is coalesced;
-* **batched + persistent pool** — the same requests submitted to the
+* **batched** — the same requests submitted to the
   :class:`~repro.service.batcher.MicroBatcher` at their arrival times:
   concurrently queued deletion candidates for the same (database, query)
   coalesce into one mask-vector call on the engine's **warm witness-mask
-  oracle** with identical candidates de-duplicated, and batch calls shard
-  over the **persistent worker pool** (created once, reused across every
-  batch).
+  oracle** with identical candidates de-duplicated; batches of at least
+  128 distinct candidates run on the vectorized survival kernel.
 
 The ablation is the serving engine's whole value proposition — warm
-per-(database, query) provenance state, micro-batching with
-de-duplication, and pooled execution — against per-request library calls;
-the contribution of each ingredient separately is measured by
-``bench_plan_compile.py`` (batched vs per-candidate) and
-``bench_sharded.py`` (serial vs sharded batches).
+per-(database, query) provenance state and micro-batching with
+de-duplication — against per-request library calls; the contribution of
+each ingredient separately is measured by ``bench_plan_compile.py``
+(batched vs per-candidate) and ``bench_sharded.py`` (vectorized vs
+survival-index batches).
 
 Traffic per instance: ~80% hypothetical-deletion probes drawn with a
 popularity skew (popular candidates repeat — the realistic "many users ask
@@ -64,13 +63,13 @@ import pytest
 
 from repro.algebra.evaluate import evaluate
 from repro.deletion import HypotheticalDeletions
-from repro.parallel.executor import close_pools, pool_registry
 from repro.provenance import (
     provenance_cache,
     where_provenance,
     why_provenance,
 )
 from repro.provenance.locations import SourceTuple
+from repro.provenance.witness_table import scipy_sparse
 from repro.service import (
     EvaluateRequest,
     HypotheticalRequest,
@@ -109,10 +108,6 @@ TARGET_LARGEST_SPEEDUP = 2.0
 #: Batching knobs the measured leg runs with.
 MAX_BATCH = 512
 MAX_DELAY_S = 0.002
-
-#: Worker count for the persistent pool (sharded batch calls); the
-#: amortization floor keeps small batches serial automatically.
-SERVICE_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "4"))
 
 DB_NAME = "db"
 
@@ -310,7 +305,7 @@ def _run_naive(execute: Callable, requests, arrivals) -> Dict[str, object]:
 def _run_batched(
     engine: ServiceEngine, requests, arrivals
 ) -> Dict[str, object]:
-    """The serving path: micro-batcher + persistent pool, open-loop feed."""
+    """The serving path: micro-batcher, open-loop feed."""
     n = len(requests)
     responses: List[Optional[object]] = [None] * n
     completions = [0.0] * n
@@ -354,12 +349,15 @@ def _run_batched(
 def _measure_instance(
     name: str, group: str, db, query, target, n_requests: int, seed: int = 0
 ) -> Dict[str, object]:
-    engine = ServiceEngine({DB_NAME: db}, workers=SERVICE_WORKERS)
+    engine = ServiceEngine({DB_NAME: db})
     # The workload hands us an AST; serve it under an alias so the traffic
     # needs no DSL round trip and hits this exact interned object.
     query_text = f"<workload:{name}>"
     engine.register_query(query_text, query)
     oracle = engine.oracle(DB_NAME, query_text)  # warm state up front
+    # A process imports scipy on its first long candidate vector; that is
+    # start-up cost, so it stays out of the timed serving window.
+    scipy_sparse()
     pool = _candidate_pool(db, oracle, target, seed)
     attribute = oracle.plan.schema.attributes[-1]
     requests = _traffic(
@@ -390,7 +388,6 @@ def _measure_instance(
         "group": group,
         "requests": n_requests,
         "arrival_rate_rps": rate,
-        "workers": SERVICE_WORKERS,
         "naive": naive,
         "batched": batched,
         "speedup_batched": speedup,
@@ -418,9 +415,8 @@ def _emit(
         "per-request execution (hypotheticals re-execute the compiled "
         "plan over db.delete(T); no warm witness-mask state, no "
         "coalescing) vs serving-engine execution (warm per-(db, query) "
-        "witness-mask oracle, micro-batched with de-duplication, "
-        f"persistent worker pool; max_batch={MAX_BATCH}, "
-        f"max_delay={MAX_DELAY_S * 1e3:.0f}ms, workers={SERVICE_WORKERS})",
+        "witness-mask oracle, micro-batched with de-duplication; "
+        f"max_batch={MAX_BATCH}, max_delay={MAX_DELAY_S * 1e3:.0f}ms)",
         "entries": entries,
         "largest_instance": largest,
         "largest_speedup_batched": largest_entry["speedup_batched"],
@@ -435,7 +431,7 @@ def _emit(
         ),
         "all_answers_match": all(e["match"] for e in entries),
         # Shared-cache memory telemetry for the whole run: high-water mark
-        # of the byte-bounded LRU plus the spill/attach counters.
+        # of the byte-bounded LRU plus the eviction counters.
         "cache": provenance_cache.stats(),
     }
     data: Dict[str, object] = {}
@@ -459,7 +455,7 @@ def _emit(
         for e in entries
     ]
     lines = [
-        "Serving engine — per-request vs batched+persistent-pool execution",
+        "Serving engine — per-request vs batched execution",
         "(open-loop arrivals at saturation; latency from scheduled arrival)",
         "",
     ]
@@ -485,7 +481,6 @@ def _emit(
         f"{section['largest_speedup_batched']:.2f}x "
         f"(target >= {TARGET_LARGEST_SPEEDUP}x)",
         f"provenance cache during the run: {provenance_cache.stats()}",
-        f"worker pools during the run: {pool_registry().stats()}",
         f"json: {json_path} (key: service)",
     ]
     write_report("service", lines)
@@ -494,7 +489,6 @@ def _emit(
 
 def _run_full(json_path: str = JSON_PATH) -> Dict[str, object]:
     provenance_cache.clear()
-    close_pools()
     instances = _instances()
     largest = _largest_instance(instances)
     entries = [
@@ -503,9 +497,7 @@ def _run_full(json_path: str = JSON_PATH) -> Dict[str, object]:
         )
         for name, (group, (db, query, target)) in instances.items()
     ]
-    section = _emit(entries, largest, json_path=json_path)
-    close_pools()
-    return section
+    return _emit(entries, largest, json_path=json_path)
 
 
 # ----------------------------------------------------------------------

@@ -1,44 +1,35 @@
-"""Sharded mask-vector execution, measured: serial vs 2/4/8 shards.
+"""Long candidate vectors, measured: vectorized kernel vs survival index.
 
 The exact deletion solvers spend their time asking "what survives after
-deleting ``T``?" for whole vectors of candidate sets.  PR 2/3 made each
-answer cheap (witness masks + compiled plans); this harness measures the
-**sharded execution layer** (:mod:`repro.parallel`) that partitions those
-vectors into chunks, answers each chunk from an immutable snapshot of the
-witness tables on worker threads/processes, and merges the per-shard
-answers with interning.
+deleting ``T``?" for whole vectors of candidate sets.
+:class:`~repro.provenance.bitset.BitsetProvenance` answers a vector of at
+least :data:`~repro.provenance.bitset.VECTORIZED_MIN_BATCH` candidates on
+the vectorized kernel (:class:`~repro.provenance.witness_table.
+VectorSurvival`: two sparse matrix products per chunk, numpy + scipy, with
+identical answers interned) and shorter vectors on the pure-Python
+:class:`~repro.provenance.witness_table.SurvivalIndex`.  This harness
+measures that choice on solver-realistic vectors: every single-tuple
+deletion plus :data:`UNIVERSE_CANDIDATES` random subsets of the target's
+witness universe, the population the hitting-set enumerators draw from.
 
-One ablation over the largest Table 1 / Table 2 instances (the same ones
-``bench_provenance_kernel.py`` tracks) plus extra chain/star workloads:
+* **vectorized** — :meth:`~repro.deletion.hypothetical.
+  HypotheticalDeletions.batch_view_after` over the whole vector in one
+  call;
+* **survival index** — the same candidates in consecutive calls of
+  ``VECTORIZED_MIN_BATCH - 1``, each short enough to stay on the survival
+  index.
 
-* **serial vs sharded** — :meth:`~repro.deletion.hypothetical.
-  HypotheticalDeletions.batch_view_after` over a solver-realistic candidate
-  vector (every single-tuple deletion plus random subsets of the target's
-  witness universe — the distribution the hitting-set enumerators draw
-  from), answered serially (``workers=None``) and sharded at 2/4/8 workers.
+The instances are the largest Table 1 / Table 2 rows
+(``bench_provenance_kernel.py``) plus chain/star extras.  The tracked
+median covers the **size-scaled families** (SPU, SJ, chain, star); the
+``pj_``/``ju_`` rows are constant-size hardness gadgets whose views hold a
+handful of rows, reported (group ``encoded``) but untracked.  Per-instance
+ratios below 1× are reported as-is.
 
-The tracked medians cover the **size-scaled workload families** (SPU, SJ,
-chain, star — the "largest" instance of each scaling harness).  The
-Table 1/2 rows built from NP-hardness reductions (``pj_``/``ju_``) are
-constant-size gadgets: their views hold a handful of rows, a batch answer
-costs microseconds, and no execution strategy can beat fixed per-call
-overhead there — they are reported (group ``encoded``) so the numbers are
-visible, but excluded from the acceptance median they cannot meaningfully
-move in either direction.
-
-Where the speedup comes from, honestly: each shard answers its chunk with
-a vectorized sparse-matrix kernel (work proportional to the same nonzeros
-the serial inverted index touches, but in C with the GIL released) and the
-merge interns identical answers, materializing each distinct destroyed set
-— and the surviving view it induces — once instead of once per candidate.
-On a single-CPU host that execution strategy is the entire speedup; on
-multicore hosts thread/process shards scale further on top.  Per-instance
-speedups below 1× are reported as-is.
-
-Answers are asserted identical at every worker count.  Results merge into
-``BENCH_plan.json`` under the ``sharded`` key; the acceptance number is a
-**median speedup ≥ 1.8× at 4 workers** over the scaling-family instances,
-and ``run_all.py --compare`` gates ``sharded.median_speedup_workers4``.
+Answers are asserted identical.  Results merge into ``BENCH_plan.json``
+under the ``sharded`` key (the name predates the worker pools' removal);
+the harness's own bar is a median of at least :data:`TARGET_MEDIAN`, and
+``run_all.py --compare`` gates ``sharded.median_speedup_vectorized``.
 """
 
 from __future__ import annotations
@@ -48,12 +39,13 @@ import json
 import os
 import random
 from statistics import median
-from typing import Callable, Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 import pytest
 
 from repro.deletion import HypotheticalDeletions
 from repro.provenance import provenance_cache
+from repro.provenance.bitset import VECTORIZED_MIN_BATCH
 from repro.provenance.locations import SourceTuple
 from repro.workloads import chain_workload, sj_workload, spu_workload, star_workload
 
@@ -63,27 +55,21 @@ from bench_provenance_kernel import _instances
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JSON_PATH = os.path.join(REPO_ROOT, "BENCH_plan.json")
 
-#: Worker counts the sharded runs exercise.
-WORKER_COUNTS = (2, 4, 8)
-
 #: Random universe-subset candidates appended to the single-tuple vector.
 UNIVERSE_CANDIDATES = 16000
 
-#: The acceptance bar: median speedup at 4 workers on the scaling families.
-TARGET_MEDIAN_W4 = 1.8
+#: The harness's own bar on the scaling families' median.
+TARGET_MEDIAN = 2.0
 
-#: Worker count the smoke entries exercise (CI overrides via
-#: ``run_all.py --smoke --workers N`` → REPRO_BENCH_WORKERS).
-SMOKE_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "2"))
+#: Calls of this many candidates never reach the vectorized kernel.
+SHORT_CALL = VECTORIZED_MIN_BATCH - 1
 
 
-def _candidate_vector(db, oracle: HypotheticalDeletions, target, seed: int = 0):
-    """A solver-realistic candidate vector for one instance.
-
-    Every single-tuple deletion (the component scans' vector) plus random
-    small subsets of the target's witness universe — the population the
-    minimal-hitting-set enumerators draw their candidates from.
-    """
+def _candidate_vector(
+    db, oracle: HypotheticalDeletions, target, extra: int, seed: int = 0
+):
+    """Every single-tuple deletion plus ``extra`` random small subsets of
+    the target's witness universe."""
     kernel = oracle.provenance.kernel
     universe = sorted(
         kernel.index.decode_mask(kernel.universe_mask(tuple(target))), key=repr
@@ -92,24 +78,27 @@ def _candidate_vector(db, oracle: HypotheticalDeletions, target, seed: int = 0):
     candidates: List[FrozenSet[SourceTuple]] = [
         frozenset({source}) for source in db.all_source_tuples()
     ]
-    for _ in range(UNIVERSE_CANDIDATES):
+    for _ in range(extra):
         size = rng.randint(1, min(4, len(universe)))
         candidates.append(frozenset(rng.sample(universe, size)))
     return candidates
 
 
-def _scenario(db, query, target) -> Tuple[Callable[[], object], Callable[[int], Callable[[], object]]]:
-    """(serial callable, worker count → sharded callable), same answers."""
+def _scenario(db, query, target, extra: int = UNIVERSE_CANDIDATES):
+    """(survival-index callable, vectorized callable), same answers."""
     oracle = HypotheticalDeletions(query, db)
-    candidates = _candidate_vector(db, oracle, target)
+    candidates = _candidate_vector(db, oracle, target, extra)
 
-    def serial():
+    def survival_index():
+        out: List[FrozenSet] = []
+        for start in range(0, len(candidates), SHORT_CALL):
+            out += oracle.batch_view_after(candidates[start : start + SHORT_CALL])
+        return out
+
+    def vectorized():
         return oracle.batch_view_after(candidates)
 
-    def make_sharded(workers: int) -> Callable[[], object]:
-        return lambda: oracle.batch_view_after(candidates, workers=workers)
-
-    return serial, make_sharded
+    return survival_index, vectorized
 
 
 def build_scenarios() -> Dict[str, Tuple[str, Tuple]]:
@@ -129,11 +118,9 @@ def build_scenarios() -> Dict[str, Tuple[str, Tuple]]:
 
 def build_smoke_scenarios() -> Dict[str, Tuple]:
     """Tiny-size equivalence subset for ``run_all.py --smoke``."""
-    spu = spu_workload(30, seed=1)
-    sj = sj_workload(15, seed=1)
     return {
-        "smoke_sharded_spu_rows30": _scenario(*spu),
-        "smoke_sharded_sj_rows15": _scenario(*sj),
+        "smoke_sharded_spu_rows30": _scenario(*spu_workload(30, seed=1), extra=400),
+        "smoke_sharded_sj_rows15": _scenario(*sj_workload(15, seed=1), extra=400),
     }
 
 
@@ -141,53 +128,44 @@ def _measure(
     scenarios: Dict[str, Tuple[str, Tuple]], repeats: int
 ) -> List[Dict[str, object]]:
     entries: List[Dict[str, object]] = []
-    for name, (group, (serial, make_sharded)) in scenarios.items():
-        sharded = {w: make_sharded(w) for w in WORKER_COUNTS}
-        expected = serial()
-        matches = {w: sharded[w]() == expected for w in WORKER_COUNTS}
-        serial_s = time_call(serial, repeats=repeats)
-        entry: Dict[str, object] = {
-            "name": name,
-            "group": group,
-            "serial_s": serial_s,
-            "match": all(matches.values()),
-        }
-        for workers in WORKER_COUNTS:
-            sharded_s = time_call(sharded[workers], repeats=repeats)
-            entry[f"workers{workers}_s"] = sharded_s
-            entry[f"speedup_workers{workers}"] = serial_s / max(sharded_s, 1e-9)
-        entries.append(entry)
+    for name, (group, (survival_index, vectorized)) in scenarios.items():
+        match = vectorized() == survival_index()
+        survival_s = time_call(survival_index, repeats=repeats)
+        vectorized_s = time_call(vectorized, repeats=repeats)
+        entries.append(
+            {
+                "name": name,
+                "group": group,
+                "survival_index_s": survival_s,
+                "vectorized_s": vectorized_s,
+                "speedup_vectorized": survival_s / max(vectorized_s, 1e-9),
+                "match": match,
+            }
+        )
     return entries
 
 
 def _emit(
     entries: List[Dict[str, object]], json_path: str = JSON_PATH
 ) -> Dict[str, object]:
-    def group_median(workers: int, groups: Tuple[str, ...]) -> float:
+    def group_median(groups: Tuple[str, ...]) -> float:
         return median(
-            e[f"speedup_workers{workers}"]
-            for e in entries
-            if e["group"] in groups
+            e["speedup_vectorized"] for e in entries if e["group"] in groups
         )
 
     section: Dict[str, object] = {
         "generated_by": "benchmarks/bench_sharded.py",
-        "ablation": "serial batch_view_after (workers=None) vs sharded "
-        "execution (repro.parallel: chunked mask vectors, vectorized "
-        "sparse chunk kernel, interned merge) at 2/4/8 workers over "
-        "single-tuple + witness-universe candidate vectors",
+        "ablation": "batch_view_after over single-tuple + witness-universe "
+        f"candidate vectors ({UNIVERSE_CANDIDATES} random subsets): one "
+        "call (vectorized sparse kernel, interned answers) vs consecutive "
+        f"calls of {SHORT_CALL} candidates (SurvivalIndex)",
         "tracked_group": "scaling (size-scaled SPU/SJ/chain/star families; "
         "constant-size pj/ju hardness gadgets are reported but untracked)",
         "entries": entries,
         "all_answers_match": all(e["match"] for e in entries),
+        "median_speedup_vectorized": group_median(("scaling",)),
+        "median_speedup_all_vectorized": group_median(("scaling", "encoded")),
     }
-    for workers in WORKER_COUNTS:
-        section[f"median_speedup_workers{workers}"] = group_median(
-            workers, ("scaling",)
-        )
-        section[f"median_speedup_all_workers{workers}"] = group_median(
-            workers, ("scaling", "encoded")
-        )
     # Merge into BENCH_plan.json, preserving the other harnesses' sections.
     data: Dict[str, object] = {}
     if os.path.exists(json_path):
@@ -200,29 +178,26 @@ def _emit(
     rows = [
         (
             e["name"],
-            f"{e['serial_s'] * 1e3:.2f} ms",
-            *(f"{e[f'speedup_workers{w}']:.2f}x" for w in WORKER_COUNTS),
+            e["group"],
+            f"{e['survival_index_s'] * 1e3:.2f} ms",
+            f"{e['vectorized_s'] * 1e3:.2f} ms",
+            f"{e['speedup_vectorized']:.2f}x",
             e["match"],
         )
         for e in entries
     ]
-    lines = ["Sharded mask-vector execution — serial vs 2/4/8 worker shards", ""]
+    lines = ["Long candidate vectors — vectorized kernel vs survival index", ""]
     lines += format_table(
-        ("Scenario", "Serial", "w=2", "w=4", "w=8", "Match"), rows
-    )
-    medians = ", ".join(
-        f"w={w}: {section[f'median_speedup_workers{w}']:.2f}x"
-        for w in WORKER_COUNTS
-    )
-    all_medians = ", ".join(
-        f"w={w}: {section[f'median_speedup_all_workers{w}']:.2f}x"
-        for w in WORKER_COUNTS
+        ("Scenario", "Group", "SurvivalIndex", "Vectorized", "Speedup", "Match"),
+        rows,
     )
     lines += [
         "",
-        f"median sharded speedup (scaling families, tracked): {medians} "
-        f"(target ≥ {TARGET_MEDIAN_W4}x at w=4)",
-        f"median over every entry incl. encoded gadgets: {all_medians}",
+        f"median vectorized speedup (scaling families, tracked): "
+        f"{section['median_speedup_vectorized']:.2f}x "
+        f"(target ≥ {TARGET_MEDIAN}x)",
+        f"median over every entry incl. encoded gadgets: "
+        f"{section['median_speedup_all_vectorized']:.2f}x",
         f"provenance cache during the run: {provenance_cache.stats()}",
         f"json: {json_path} (key: sharded)",
     ]
@@ -237,24 +212,19 @@ def _emit(
 @pytest.mark.bench_smoke
 @pytest.mark.parametrize("name", sorted(build_smoke_scenarios()))
 def test_sharded_matches_serial_smoke(benchmark, name):
-    """bench-smoke: tiny-size equivalence of serial and sharded answers."""
-    serial, make_sharded = build_smoke_scenarios()[name]
-    expected = serial()
-    requested = make_sharded(SMOKE_WORKERS)
-    assert requested() == expected
-    if SMOKE_WORKERS != 2:
-        assert make_sharded(2)() == expected  # always cover the 2-worker path
-    benchmark(requested)
+    """bench-smoke: long vectors answer as on the survival index."""
+    survival_index, vectorized = build_smoke_scenarios()[name]
+    assert vectorized() == survival_index()
+    benchmark(vectorized)
 
 
 def test_regenerate_bench_sharded(benchmark):
     """Full comparison at the largest tracked sizes, plus chain/star extras."""
     provenance_cache.clear()  # counters scoped to this run (reset by clear)
-    entries = _measure(build_scenarios(), repeats=5)
-    data = _emit(entries)
+    data = _emit(_measure(build_scenarios(), repeats=5))
     assert data["all_answers_match"]
-    assert data["median_speedup_workers4"] >= TARGET_MEDIAN_W4, data[
-        "median_speedup_workers4"
+    assert data["median_speedup_vectorized"] >= TARGET_MEDIAN, data[
+        "median_speedup_vectorized"
     ]
     benchmark(lambda: None)  # regeneration is correctness-, not time-bound
 
@@ -268,14 +238,13 @@ def main(argv: "list[str] | None" = None) -> None:
     )
     args = parser.parse_args(argv)
     provenance_cache.clear()  # counters scoped to this run (reset by clear)
-    entries = _measure(build_scenarios(), repeats=5)
-    section = _emit(entries, json_path=args.json)
+    section = _emit(_measure(build_scenarios(), repeats=5), json_path=args.json)
     if not section["all_answers_match"]:
         raise SystemExit("answer mismatch — see report")
-    if section["median_speedup_workers4"] < TARGET_MEDIAN_W4:
+    if section["median_speedup_vectorized"] < TARGET_MEDIAN:
         raise SystemExit(
-            f"sharded speedup {section['median_speedup_workers4']:.2f}x at "
-            f"4 workers is below {TARGET_MEDIAN_W4}x"
+            f"vectorized speedup {section['median_speedup_vectorized']:.2f}x "
+            f"is below {TARGET_MEDIAN}x"
         )
 
 

@@ -41,10 +41,6 @@ spun up, driven with mixed evaluate/provenance/deletion traffic through
 the micro-batcher, and every answer is asserted bit-identical to the
 direct library call.
 
-``--smoke --workers 2`` additionally pins the worker count the sharded
-smoke entries exercise (exported as ``REPRO_BENCH_WORKERS``) — the CI leg
-that keeps the parallel path tested on every PR.
-
 Extra arguments are forwarded to pytest (smoke/full modes), e.g.::
 
     python benchmarks/run_all.py --smoke -k provenance
@@ -69,7 +65,7 @@ TRACKED_MEDIANS = (
     "batch_median_speedup",
     "compile_median_speedup",
     "optimizer.median_speedup",
-    "sharded.median_speedup_workers4",
+    "sharded.median_speedup_vectorized",
     "columnar.median_speedup",
     "witness.median_speedup",
     "service.median_speedup_batched",
@@ -253,35 +249,18 @@ def main(argv: "list[str] | None" = None) -> int:
         help="regenerate the tracked medians and fail if any regresses "
         f"more than {REGRESSION_TOLERANCE:.0%} vs this baseline",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker count the sharded smoke/full harness entries exercise "
-        "(exported as REPRO_BENCH_WORKERS; default: the harness's own)",
-    )
     args, passthrough = parser.parse_known_args(argv)
 
     if args.compare:
-        if passthrough or args.workers is not None:
-            unexpected = list(passthrough)
-            if args.workers is not None:
-                unexpected.append(f"--workers {args.workers}")
+        if passthrough:
             print(
                 "error: --compare runs the full gate and forwards nothing "
-                f"to pytest; unexpected arguments: {unexpected}"
+                f"to pytest; unexpected arguments: {passthrough}"
             )
             return 2
         return run_compare(args.compare)
 
     env = _bench_env()
-    if args.workers is not None:
-        if args.workers < 1:
-            print("error: --workers must be a positive integer")
-            return 2
-        env["REPRO_BENCH_WORKERS"] = str(args.workers)
-
     cmd = [sys.executable, "-m", "pytest", BENCH_DIR, "-q"]
     if args.smoke:
         cmd += ["-m", "bench_smoke", "--benchmark-disable"]

@@ -24,9 +24,6 @@ The library provides:
   (:mod:`repro.reductions`);
 * the algorithmic substrates those need — DPLL SAT, Dinic max-flow,
   greedy/exact set cover — built from scratch (:mod:`repro.solvers`);
-* sharded execution of the solvers' batch mask-vector queries across
-  worker threads/processes (:mod:`repro.parallel`; every batch API and
-  both dispatchers accept ``workers=``);
 * workload generators (:mod:`repro.workloads`).
 
 Quickstart::

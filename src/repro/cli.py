@@ -20,11 +20,10 @@ Sub-commands (query syntax is the DSL of :mod:`repro.algebra.parser`)::
     repro plan DB.json QUERY
     repro witnesses DB.json QUERY '["joe", "f1"]'
     repro delete DB.json QUERY '["joe", "f1"]' --objective view
-    repro delete DB.json QUERY '["joe", "f1"]' --workers 4
     repro annotate DB.json QUERY '["joe", "f1"]' file
     repro apply DB.json --delete '["UserGroup", ["joe", "g1"]]'
     repro apply DB.json --insert '["GroupFile", ["g2", "f9"]]' --dry-run
-    repro serve DB.json --port 7464 --workers 4
+    repro serve DB.json --port 7464
     repro serve DB.json --slow-query-ms 50 --trace-dir /tmp/traces
     repro stats 127.0.0.1:7464
     repro stats 127.0.0.1:7464 --format text
@@ -34,14 +33,10 @@ delta is normalized to its net effect (delete-then-insert of the same row
 is a no-op), and the updated database is written back to the file unless
 ``--dry-run`` is given.
 
-``delete --workers N`` shards the solvers' candidate-batch evaluation over
-``N`` worker threads/processes (:mod:`repro.parallel`); the plan printed is
-identical for every worker count.
-
 ``serve`` starts the long-lived serving engine (:mod:`repro.service`): an
 asyncio front door speaking newline-delimited JSON request/response
 envelopes (see :mod:`repro.service.requests`), with micro-batching of
-hypothetical-deletion candidates and a persistent worker pool.  ``--name``
+hypothetical-deletion candidates.  ``--name``
 sets the registry name requests address the database by (default ``db``);
 ``--max-requests N`` serves N requests and exits (smoke tests);
 ``--port-file PATH`` writes the bound ``host port`` once listening, so
@@ -57,7 +52,7 @@ Perfetto) on shutdown.
 
 ``stats`` asks a running server for its live observability snapshot over
 one NDJSON request — request counters, per-kind latency histograms
-(p50/p95/p99), batcher queue stats, cache/pool counters, and recent
+(p50/p95/p99), batcher queue stats, cache counters, and recent
 slow-query entries.  ``--format text`` prints the Prometheus-style text
 exposition instead (the HTTP-free ``/metrics`` equivalent)::
 
@@ -263,7 +258,6 @@ def _cmd_delete(args: argparse.Namespace) -> None:
             db,
             row,
             allow_exponential=not args.no_exponential,
-            workers=args.workers,
         )
     else:
         plan = minimum_source_deletion(
@@ -271,7 +265,6 @@ def _cmd_delete(args: argparse.Namespace) -> None:
             db,
             row,
             allow_exponential=not args.no_exponential,
-            workers=args.workers,
         )
     verify_plan(query, db, plan)
     print(f"algorithm: {plan.algorithm}")
@@ -381,7 +374,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
 
     async def run() -> None:
         with ServiceEngine(
-            {args.name: db}, workers=args.workers, slow_query_log=slow_log
+            {args.name: db}, slow_query_log=slow_log
         ) as engine:
             with MicroBatcher(
                 engine,
@@ -492,15 +485,7 @@ def _cmd_stats(args: argparse.Namespace) -> None:
     if isinstance(cache, dict):
         print(
             f"cache: hits={cache.get('hits', 0)} misses={cache.get('misses', 0)} "
-            f"evictions={cache.get('evictions', 0)} spills={cache.get('spills', 0)}"
-        )
-    pools = stats.get("pools")
-    if isinstance(pools, dict):
-        print(
-            f"pools: created={pools.get('created', 0)} "
-            f"reused={pools.get('reused', 0)} "
-            f"live_thread={pools.get('live_thread_pools', 0)} "
-            f"live_process={pools.get('live_process_pools', 0)}"
+            f"evictions={cache.get('evictions', 0)}"
         )
     slow = envelope.get("slow_queries", [])
     if slow:
@@ -591,14 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="refuse/avoid exponential algorithms on the NP-hard fragments",
     )
-    p_del.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="shard candidate-batch evaluation over N worker "
-        "threads/processes (default: serial; answers are identical)",
-    )
     p_del.set_defaults(handler=_cmd_delete)
 
     p_apply = sub.add_parser(
@@ -640,13 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=7464,
         help="TCP port (0 lets the kernel choose; see --port-file)",
-    )
-    p_serve.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="shard batched candidate evaluation over N persistent workers",
     )
     p_serve.add_argument(
         "--max-batch",

@@ -1,11 +1,10 @@
-"""Columnar zero-copy substrate: encoded columns, vectorized kernels, flat files.
+"""Columnar substrate: encoded columns and vectorized kernels.
 
 ``ColumnStore`` lowers a database into dictionary-encoded numpy columns,
-:func:`columnar_rows`/:func:`columnar_annotated_table` execute compiled
-plans over them, and :mod:`repro.columnar.flatfile` is the
-memory-mappable on-disk format shared with snapshot shipping and cache
-spill.  The store and kernels need numpy (:data:`HAVE_NUMPY`); without it
-the tuple plan executor is the only executor.
+and :func:`columnar_rows`/:func:`columnar_annotated_table` execute
+compiled plans over them.  The store and kernels need numpy
+(:data:`HAVE_NUMPY`); without it the tuple plan executor is the only
+executor.
 """
 
 from repro.columnar.kernels import columnar_annotated_table, columnar_rows

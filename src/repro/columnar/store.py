@@ -139,16 +139,14 @@ class ColumnStore:
     Immutable after construction; safe to share across threads (the backing
     ``SourceIndex`` is fully populated at build time, so later lookups are
     read-only).  When ``index`` is omitted the store owns a fresh index built
-    in the same deterministic order as ``SourceIndex.from_database`` — only
-    index-owning stores are spillable, because the index can be rebuilt
-    exactly by re-interning on attach.  Needs numpy: without it the
+    in the same deterministic order as ``SourceIndex.from_database``.
+    Needs numpy: without it the
     constructor raises :class:`~repro.errors.ReproError`.
     """
 
     __slots__ = (
         "_db",
         "_index",
-        "_own_index",
         "_relations",
         "_pool",
         "_code_of",
@@ -165,12 +163,10 @@ class ColumnStore:
                 "ColumnStore needs numpy; without it queries run on the "
                 "tuple plan executor"
             )
-        own_index = index is None
-        if own_index:
+        if index is None:
             index = SourceIndex()
         self._db = db
         self._index = index
-        self._own_index = own_index
         self._pool: List[object] = []
         self._code_of: Dict[object, int] = {}
         self._pool_nonreflexive: set = set()
@@ -232,10 +228,6 @@ class ColumnStore:
     @property
     def index(self) -> SourceIndex:
         return self._index
-
-    @property
-    def owns_index(self) -> bool:
-        return self._own_index
 
     @property
     def pool_has_nonreflexive(self) -> bool:
@@ -317,14 +309,11 @@ class ColumnStore:
         rows, or relower from scratch once the changed fraction reaches
         :data:`COMPACT_FRACTION`.  The value pool, code table, and
         :class:`SourceIndex` are shared (all append-only), so masks and
-        codes from both stores stay mutually consistent; the new store does
-        not own the index and is therefore never spillable (a re-interning
-        replay could not reproduce the appended ids).
+        codes from both stores stay mutually consistent.
         """
         store = ColumnStore.__new__(ColumnStore)
         store._db = new_db
         store._index = self._index
-        store._own_index = False
         store._pool = self._pool
         store._code_of = self._code_of
         store._pool_nonreflexive = self._pool_nonreflexive
@@ -415,128 +404,13 @@ class ColumnStore:
             name, base.schema, rows, lowered, ids, nonreflexive
         )
 
-    # -- spill protocol (ProvenanceCache) ----------------------------------
-
-    def spill_save(self, path: str) -> bool:
-        """Spill the encoded columns to a flat container; True on success.
-
-        Only stores that own their index are spillable: the index is rebuilt
-        on attach by re-interning rows in the deterministic build order, which
-        only reproduces the original ids when no external interner seeded it.
-        """
-        if not self._own_index:
-            return False
-        from repro.columnar.flatfile import write_flat
-
-        meta = {
-            "kind": "column-store",
-            "relations": [
-                {
-                    "name": name,
-                    "attributes": list(columns.schema.attributes),
-                    "rows": columns.n,
-                }
-                for name, columns in self._relations.items()
-            ],
-            "pool_size": len(self._pool),
-        }
-        arrays = {}
-        for name, columns in self._relations.items():
-            flat: List[int] = []
-            for col in columns.codes:
-                flat.extend(int(code) for code in col)
-            arrays[f"codes:{name}"] = flat
-        write_flat(path, meta, arrays)
-        return True
-
-    @classmethod
-    def spill_load(cls, path: str, query, db: Database) -> "ColumnStore":
-        """Re-attach a spilled store over the **same** ``db`` object.
-
-        Only the code arrays come from disk.  The rows, value pool, and
-        index are rebuilt from ``db`` itself by replaying the deterministic
-        build order, so every decoded value is the database's *original
-        object* — object identity matters for non-self-equal values (NaN)
-        and for which of ``1``/``1.0``/``True`` represents a collapsed
-        code.  The cache's spill stub pins the exact database, so the
-        replay always sees the rows the codes were cut from.
-        """
-        from repro.columnar.flatfile import read_flat
-
-        meta, arrays, _blobs = read_flat(path)
-        if meta.get("kind") != "column-store":
-            raise ValueError(f"{path!r} does not hold a spilled ColumnStore")
-        pool_size = meta["pool_size"]
-        pool: List[object] = [None] * pool_size
-        filled = [False] * pool_size
-        nonreflexive_codes: set = set()
-        store = cls.__new__(cls)
-        store._db = db
-        store._index = SourceIndex()
-        store._own_index = True
-        store._pool_obj = None
-        store._foreign_ids = {}
-        store._relations = {}
-        store._pending = {}
-        store._pending_lock = threading.Lock()
-        for entry in meta["relations"]:
-            name = entry["name"]
-            count = entry["rows"]
-            schema = db[name].schema
-            arity = schema.arity
-            rows = db[name].sorted_rows()
-            if len(rows) != count:
-                raise ValueError(
-                    f"spilled store is stale: {name!r} has {len(rows)} rows, "
-                    f"file says {count}"
-                )
-            flat = arrays[f"codes:{name}"]
-            columns = [
-                [int(code) for code in flat[position * count : (position + 1) * count]]
-                for position in range(arity)
-            ]
-            # First assignment wins, matching the interning order of
-            # _lower_relation — the representative of a collapsed code is
-            # the first value that produced it.
-            for i, row in enumerate(rows):
-                for position in range(arity):
-                    code = columns[position][i]
-                    if not filled[code]:
-                        filled[code] = True
-                        pool[code] = row[position]
-            row_ids = [store._index.intern((name, row)) for row in rows]
-            nonreflexive = [False] * arity
-            for position in range(arity):
-                for i, code in enumerate(columns[position]):
-                    value = rows[i][position]
-                    try:
-                        reflexive = value == value
-                    except Exception:
-                        reflexive = False
-                    if not reflexive:
-                        nonreflexive_codes.add(code)
-                        nonreflexive[position] = True
-            store._relations[name] = RelationColumns(
-                name,
-                schema,
-                tuple(rows),
-                [_np.asarray(col, dtype=_np.int64) for col in columns],
-                _np.asarray(row_ids, dtype=_np.int64),
-                nonreflexive,
-            )
-        store._pool = pool
-        store._code_of = {value: code for code, value in enumerate(pool) if filled[code]}
-        store._pool_nonreflexive = nonreflexive_codes
-        return store
-
 
 def cached_column_store(db: Database) -> ColumnStore:
     """The shared per-database ColumnStore, memoized in the provenance cache.
 
     Keyed by database identity through the same identity-keyed cache as the
     provenance kernels, so a long-lived service builds the store once per
-    registered database and shares it across queries (and the cache's spill
-    machinery can page it out cold and re-attach it on the next hit).
+    registered database and shares it across queries.
     """
     from repro.provenance.cache import provenance_cache
 

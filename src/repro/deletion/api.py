@@ -53,7 +53,6 @@ def delete_view_tuple(
     allow_exponential: bool = True,
     node_budget: int = 200_000,
     prov: Optional[WhyProvenance] = None,
-    workers: Optional[int] = None,
 ) -> DeletionPlan:
     """Delete ``target`` from the view minimizing view side effects.
 
@@ -61,9 +60,7 @@ def delete_view_tuple(
     SJ), otherwise to the exact exponential search — which Theorem 2.1 says
     cannot be avoided in general.  With ``allow_exponential=False`` the
     dispatcher refuses the hard fragments instead
-    (:class:`QueryClassError`).  ``workers`` shards the solvers' candidate
-    batches across worker threads/processes (:mod:`repro.parallel`); the
-    returned plan is identical for every worker count.
+    (:class:`QueryClassError`).
     """
     if is_spu(query):
         if prov is None:
@@ -72,7 +69,7 @@ def delete_view_tuple(
     if is_sj(query):
         if prov is None:
             prov = cached_why_provenance(query, db)
-        return sj_view_deletion(query, db, target, prov=prov, workers=workers)
+        return sj_view_deletion(query, db, target, prov=prov)
     if not allow_exponential:
         # Refuse before computing provenance: on the hard fragments the
         # annotated evaluation is itself the worst-case-exponential cost
@@ -85,7 +82,7 @@ def delete_view_tuple(
     if prov is None:
         prov = cached_why_provenance(query, db)
     return exact_view_deletion(
-        query, db, target, node_budget=node_budget, prov=prov, workers=workers
+        query, db, target, node_budget=node_budget, prov=prov
     )
 
 
@@ -96,7 +93,6 @@ def minimum_source_deletion(
     allow_exponential: bool = True,
     node_budget: int = 2_000_000,
     prov: Optional[WhyProvenance] = None,
-    workers: Optional[int] = None,
 ) -> DeletionPlan:
     """Delete ``target`` from the view with the fewest source deletions.
 
@@ -104,17 +100,16 @@ def minimum_source_deletion(
     min cut; otherwise exact branch-and-bound (set-cover-hard fragments,
     Theorems 2.5/2.7) or, when ``allow_exponential=False`` or the exact
     search exceeds its budget, the greedy H_m-approximation (plan marked
-    non-optimal).  ``workers`` shards the side-effect batches of whichever
-    solver the dispatcher routes to (:mod:`repro.parallel`).
+    non-optimal).
     """
     if is_spu(query):
         if prov is None:
             prov = cached_why_provenance(query, db)
-        return spu_source_deletion(query, db, target, prov=prov, workers=workers)
+        return spu_source_deletion(query, db, target, prov=prov)
     if is_sj(query):
         if prov is None:
             prov = cached_why_provenance(query, db)
-        return sj_source_deletion(query, db, target, prov=prov, workers=workers)
+        return sj_source_deletion(query, db, target, prov=prov)
     catalog = {name: db[name].schema for name in db}
     try:
         if chain_join_order(query, catalog) is not None:
@@ -124,10 +119,10 @@ def minimum_source_deletion(
     if prov is None:
         prov = cached_why_provenance(query, db)
     if not allow_exponential:
-        return greedy_source_deletion(query, db, target, prov=prov, workers=workers)
+        return greedy_source_deletion(query, db, target, prov=prov)
     try:
         return exact_source_deletion(
-            query, db, target, node_budget=node_budget, prov=prov, workers=workers
+            query, db, target, node_budget=node_budget, prov=prov
         )
     except ExponentialGuardError:
-        return greedy_source_deletion(query, db, target, prov=prov, workers=workers)
+        return greedy_source_deletion(query, db, target, prov=prov)

@@ -41,7 +41,6 @@ def enumerate_deletion_plans(
     prefer_clean: bool = True,
     node_budget: int = 200_000,
     prov: Optional[WhyProvenance] = None,
-    workers: Optional[int] = None,
 ) -> List[DeletionPlan]:
     """Every inclusion-minimal deletion translation for ``target``.
 
@@ -55,8 +54,6 @@ def enumerate_deletion_plans(
     ``prov`` lets callers share one provenance computation across several
     calls; by default the shared cache supplies it, so back-to-back calls
     on the same ``(query, db)`` pair pay for the annotated evaluation once.
-    ``workers`` shards the full-vector side-effect batch across worker
-    threads/processes (:mod:`repro.parallel`); the plans are identical.
 
     Raises :class:`~repro.errors.InfeasibleError` when the target is not in
     the view and :class:`~repro.errors.ExponentialGuardError` when the
@@ -82,7 +79,7 @@ def enumerate_deletion_plans(
         )
         for deletions, effects in zip(
             candidates,
-            prov.batch_side_effects(target, candidates, workers=workers),
+            prov.batch_side_effects(target, candidates),
         )
     ]
     if prefer_clean:

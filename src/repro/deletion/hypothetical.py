@@ -52,10 +52,6 @@ class HypotheticalDeletions:
     itself trips an :class:`~repro.errors.ExponentialGuardError`, the
     oracle degrades to that same compiled-plan mode instead of failing.
 
-    ``workers`` sets the default shard count for the batch methods
-    (:mod:`repro.parallel`); each batch call may override it.  ``None``/0/1
-    keep the serial path.
-
     ``store`` (a :class:`repro.columnar.store.ColumnStore` over ``db``)
     routes a cold provenance computation through the vectorized columnar
     kernels; the resulting oracle is bit-identical either way.
@@ -67,7 +63,6 @@ class HypotheticalDeletions:
         "_plan",
         "_prov",
         "_baseline",
-        "_workers",
         "_optimizer_level",
     )
 
@@ -78,7 +73,6 @@ class HypotheticalDeletions:
         prov: Optional[WhyProvenance] = None,
         use_provenance: bool = True,
         optimizer_level: Optional[int] = None,
-        workers: Optional[int] = None,
         store: "object | None" = None,
     ):
         self._query = query
@@ -91,7 +85,6 @@ class HypotheticalDeletions:
                 prov = None  # refused as exponential: compiled-plan fallback
         self._prov = prov
         self._baseline: Optional[FrozenSet[Row]] = None
-        self._workers = workers
         self._optimizer_level = optimizer_level
 
     # ------------------------------------------------------------------
@@ -132,23 +125,18 @@ class HypotheticalDeletions:
         return self._plan.rows(self._db.delete(deletions))
 
     def batch_view_after(
-        self,
-        deletion_sets: Sequence[DeletionSet],
-        workers: Optional[int] = None,
+        self, deletion_sets: Sequence[DeletionSet]
     ) -> List[FrozenSet[Row]]:
         """:meth:`view_after` for a whole vector of candidates.
 
-        On the mask path the candidates are encoded once and answered
-        through a shared inverted-index pass — sharded across ``workers``
-        when more than one is requested (here or at construction); the
-        fallback loops the compiled plan over the hypothetical databases.
+        On the mask path the candidates are encoded once and answered in
+        one batch call on the witness kernel; the fallback loops the
+        compiled plan over the hypothetical databases.
         """
         if self._prov is not None:
             kernel = self._prov.kernel
             encoded = [kernel.encode_deletions_auto(d) for d in deletion_sets]
-            return kernel.batch_surviving_rows(
-                encoded, workers=self._effective_workers(workers)
-            )
+            return kernel.batch_surviving_rows(encoded)
         return [self.view_after(d) for d in deletion_sets]
 
     def side_effects(
@@ -162,22 +150,13 @@ class HypotheticalDeletions:
         return frozenset(self.rows - after - {target})
 
     def batch_side_effects(
-        self,
-        target: Row,
-        deletion_sets: Sequence[DeletionSet],
-        workers: Optional[int] = None,
+        self, target: Row, deletion_sets: Sequence[DeletionSet]
     ) -> List[FrozenSet[Row]]:
         """:meth:`side_effects` for a whole vector of candidates."""
         target = tuple(target)
         if self._prov is not None:
-            return self._prov.batch_side_effects(
-                target, deletion_sets, workers=self._effective_workers(workers)
-            )
+            return self._prov.batch_side_effects(target, deletion_sets)
         return [self.side_effects(target, d) for d in deletion_sets]
-
-    def _effective_workers(self, workers: Optional[int]) -> Optional[int]:
-        """The per-call worker count, defaulting to the constructor's."""
-        return self._workers if workers is None else workers
 
     # ------------------------------------------------------------------
     # Incremental maintenance
@@ -208,7 +187,6 @@ class HypotheticalDeletions:
             prov=prov,
             use_provenance=prov is not None,
             optimizer_level=self._optimizer_level,
-            workers=self._workers,
         )
         if keep_baseline:
             rebased._baseline = self._baseline

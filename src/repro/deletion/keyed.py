@@ -146,7 +146,6 @@ def _unique_witness_plan(
     objective: str,
     algorithm: str,
     prov: Optional[WhyProvenance] = None,
-    workers: Optional[int] = None,
 ) -> DeletionPlan:
     catalog = {name: db[name].schema for name in db}
     if not is_key_based(query, catalog, fds):
@@ -174,7 +173,7 @@ def _unique_witness_plan(
     best = None
     best_effects = None
     for component, effects in zip(
-        components, prov.batch_side_effects(target, candidates, workers=workers)
+        components, prov.batch_side_effects(target, candidates)
     ):
         if best_effects is None or len(effects) < len(best_effects):
             best, best_effects = component, effects
@@ -197,18 +196,15 @@ def key_based_view_deletion(
     target: Row,
     fds: FDMap,
     prov: Optional[WhyProvenance] = None,
-    workers: Optional[int] = None,
 ) -> DeletionPlan:
     """Polynomial minimum-side-effect deletion for key-based PJ queries.
 
     With a unique witness the SJ component scan (Theorem 2.4) is optimal;
     the deletion is side-effect-free iff some witness component appears in
-    no other view tuple's witness.  ``workers`` shards the component batch
-    (:mod:`repro.parallel`).
+    no other view tuple's witness.
     """
     return _unique_witness_plan(
-        query, db, target, fds, "view", "keyed-pj-component-scan", prov,
-        workers=workers,
+        query, db, target, fds, "view", "keyed-pj-component-scan", prov
     )
 
 
@@ -218,7 +214,6 @@ def key_based_source_deletion(
     target: Row,
     fds: FDMap,
     prov: Optional[WhyProvenance] = None,
-    workers: Optional[int] = None,
 ) -> DeletionPlan:
     """Polynomial minimum source deletion for key-based PJ queries.
 
@@ -226,6 +221,5 @@ def key_based_source_deletion(
     argument); the plan deletes exactly one tuple.
     """
     return _unique_witness_plan(
-        query, db, target, fds, "source", "keyed-pj-single-component", prov,
-        workers=workers,
+        query, db, target, fds, "source", "keyed-pj-single-component", prov
     )

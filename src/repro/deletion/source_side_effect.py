@@ -75,20 +75,18 @@ def _finish(
     algorithm: str,
     optimal: bool,
     prov: Optional[WhyProvenance] = None,
-    workers: Optional[int] = None,
 ) -> DeletionPlan:
     """Build a plan, reporting side effects through the hypothetical oracle.
 
     With a bitset-backed ``prov`` the report comes straight from the
     witness masks; without one the compiled plan re-evaluates against the
     hypothetical database (``use_provenance=False`` keeps the oracle from
-    computing provenance just for the report).  ``workers`` becomes the
-    oracle's default shard count (:mod:`repro.parallel`).
+    computing provenance just for the report).
     """
     target = tuple(target)
     deletions = frozenset(deletions)
     oracle = HypotheticalDeletions(
-        query, db, prov=prov, use_provenance=prov is not None, workers=workers
+        query, db, prov=prov, use_provenance=prov is not None
     )
     return DeletionPlan(
         target=target,
@@ -105,7 +103,6 @@ def spu_source_deletion(
     db: Database,
     target: Row,
     prov: Optional[WhyProvenance] = None,
-    workers: Optional[int] = None,
 ) -> DeletionPlan:
     """Theorem 2.8: the unique minimum source deletion for SPU queries.
 
@@ -122,8 +119,7 @@ def spu_source_deletion(
         prov = cached_why_provenance(query, db)
     deletions = prov.witness_universe(target)
     return _finish(
-        query, db, target, deletions, "spu-unique", optimal=True, prov=prov,
-        workers=workers,
+        query, db, target, deletions, "spu-unique", optimal=True, prov=prov
     )
 
 
@@ -132,7 +128,6 @@ def sj_source_deletion(
     db: Database,
     target: Row,
     prov: Optional[WhyProvenance] = None,
-    workers: Optional[int] = None,
 ) -> DeletionPlan:
     """Theorem 2.9: minimum source deletion for SJ queries.
 
@@ -157,7 +152,7 @@ def sj_source_deletion(
     component = min(witness, key=repr)
     return _finish(
         query, db, target, {component}, "sj-single-component", optimal=True,
-        prov=prov, workers=workers,
+        prov=prov,
     )
 
 
@@ -166,7 +161,6 @@ def greedy_source_deletion(
     db: Database,
     target: Row,
     prov: Optional[WhyProvenance] = None,
-    workers: Optional[int] = None,
 ) -> DeletionPlan:
     """Greedy hitting set over the target's witnesses.
 
@@ -181,7 +175,7 @@ def greedy_source_deletion(
     deletions = greedy_hitting_set(monomials)
     return _finish(
         query, db, target, deletions, "greedy-hitting-set", optimal=False,
-        prov=prov, workers=workers,
+        prov=prov,
     )
 
 
@@ -191,7 +185,6 @@ def exact_source_deletion(
     target: Row,
     node_budget: int = DEFAULT_NODE_BUDGET,
     prov: Optional[WhyProvenance] = None,
-    workers: Optional[int] = None,
 ) -> DeletionPlan:
     """Optimal minimum source deletion by branch and bound.
 
@@ -204,5 +197,5 @@ def exact_source_deletion(
     deletions = exact_min_hitting_set(monomials, node_budget=node_budget)
     return _finish(
         query, db, target, deletions, "exact-min-hitting-set", optimal=True,
-        prov=prov, workers=workers,
+        prov=prov,
     )

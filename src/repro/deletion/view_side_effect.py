@@ -37,11 +37,7 @@ budget-guarded behaviour) and answered through
 :meth:`~repro.provenance.why.WhyProvenance.batch_side_effects`, which on the
 bitset kernel encodes the whole vector to id tuples and shares the
 inverted-index lookups across candidates instead of re-answering each one
-from scratch.  A ``workers`` argument shards those vectors across worker
-threads/processes (:mod:`repro.parallel`); candidate chunks grow to
-``SHARD_MIN_BATCH x workers`` so the vectors handed to the kernel are
-large enough to clear its sharding floor, and answers are bit-identical
-to the serial scan.
+from scratch.
 
 Every algorithm returns a verified :class:`~repro.deletion.plan.DeletionPlan`.
 """
@@ -54,7 +50,6 @@ from repro.errors import ExponentialGuardError, QueryClassError
 from repro.algebra.ast import Query
 from repro.algebra.classify import is_sj, is_spu
 from repro.algebra.relation import Database, Row
-from repro.provenance.bitset import SHARD_MIN_BATCH
 from repro.provenance.cache import cached_why_provenance
 from repro.provenance.locations import SourceTuple
 from repro.provenance.why import WhyProvenance
@@ -75,20 +70,6 @@ DEFAULT_NODE_BUDGET = 200_000
 #: hitting-set enumeration lazy (a zero-side-effect hit stops the search at
 #: most one chunk late) while amortizing the kernel's per-batch setup.
 CANDIDATE_CHUNK = 16
-
-
-def _batch_chunk(workers: "int | None") -> int:
-    """Candidates per batch.
-
-    Serial scans keep the small historical chunk; with ``workers`` > 1 the
-    chunk grows to ``SHARD_MIN_BATCH x workers`` so each batch clears the
-    kernel's sharding floor and every worker shard has candidates to
-    answer.  A zero-side-effect hit still stops the search at most one
-    (larger) chunk late.
-    """
-    if not workers or workers <= 1:
-        return CANDIDATE_CHUNK
-    return SHARD_MIN_BATCH * workers
 
 
 def _chunked(iterator: Iterator, size: int) -> "Iterator[List]":
@@ -172,14 +153,12 @@ def sj_view_deletion(
     db: Database,
     target: Row,
     prov: Optional[WhyProvenance] = None,
-    workers: Optional[int] = None,
 ) -> DeletionPlan:
     """Theorem 2.4: minimum side-effect deletion for an SJ query.
 
     The target has a single witness; for each of its components, the side
     effect of deleting that component alone is the number of other view
     tuples whose witness uses it.  Pick the component with the fewest.
-    ``workers`` shards the component batch (:mod:`repro.parallel`).
     """
     if not is_sj(query):
         raise QueryClassError(
@@ -201,7 +180,7 @@ def sj_view_deletion(
     best: Optional[FrozenSet[SourceTuple]] = None
     best_effects = None
     for deletions, effects in zip(
-        candidates, prov.batch_side_effects(target, candidates, workers=workers)
+        candidates, prov.batch_side_effects(target, candidates)
     ):
         if best_effects is None or len(effects) < len(best_effects):
             best, best_effects = deletions, effects
@@ -220,7 +199,6 @@ def exact_view_deletion(
     target: Row,
     node_budget: int = DEFAULT_NODE_BUDGET,
     prov: Optional[WhyProvenance] = None,
-    workers: Optional[int] = None,
 ) -> DeletionPlan:
     """Optimal view side-effect deletion by minimal-hitting-set search.
 
@@ -232,7 +210,6 @@ def exact_view_deletion(
     Exponential in the worst case — Theorem 2.1 shows even the
     side-effect-free decision is NP-hard for PJ queries — and therefore
     guarded by ``node_budget`` (:class:`ExponentialGuardError`).
-    ``workers`` shards each candidate batch (:mod:`repro.parallel`).
     """
     if prov is None:
         prov = cached_why_provenance(query, db)
@@ -242,10 +219,10 @@ def exact_view_deletion(
     best_effects = prov.side_effects(target, best)
     if best_effects:
         best_key = (len(best_effects), len(best))
-        for chunk in _chunked(candidates, _batch_chunk(workers)):
+        for chunk in _chunked(candidates, CANDIDATE_CHUNK):
             done = False
             for candidate, effects in zip(
-                chunk, prov.batch_side_effects(target, chunk, workers=workers)
+                chunk, prov.batch_side_effects(target, chunk)
             ):
                 key = (len(effects), len(candidate))
                 if key < best_key:
@@ -271,7 +248,6 @@ def side_effect_free_exists(
     target: Row,
     node_budget: int = DEFAULT_NODE_BUDGET,
     prov: Optional[WhyProvenance] = None,
-    workers: Optional[int] = None,
 ) -> bool:
     """Decide whether a side-effect-free deletion of ``target`` exists.
 
@@ -285,8 +261,8 @@ def side_effect_free_exists(
         prov = cached_why_provenance(query, db)
     monomials = list(prov.witnesses(target))
     candidates = enumerate_minimal_hitting_sets(monomials, node_budget=node_budget)
-    for chunk in _chunked(candidates, _batch_chunk(workers)):
-        for effects in prov.batch_side_effects(target, chunk, workers=workers):
+    for chunk in _chunked(candidates, CANDIDATE_CHUNK):
+        for effects in prov.batch_side_effects(target, chunk):
             if not effects:
                 return True
     return False

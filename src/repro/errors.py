@@ -73,17 +73,6 @@ class InfeasibleError(ReproError):
     """
 
 
-class StaleSnapshotError(ReproError):
-    """A version-stamped snapshot no longer matches its owning database.
-
-    Raised when attaching a memory-mapped :class:`~repro.parallel.shards.
-    ShardSnapshot` whose recorded epoch differs from the epoch the caller
-    expects — the owning database advanced past the snapshot, so serving
-    answers from it would silently serve stale state.  Callers either
-    re-attach the refreshed file or rebuild the snapshot.
-    """
-
-
 class ReductionError(ReproError):
     """A hardness-reduction encoder or decoder was used inconsistently.
 

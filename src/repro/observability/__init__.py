@@ -9,16 +9,16 @@ each independently usable and each with a near-zero-overhead "off" mode:
   plus pull-style collectors for subsystems that already keep their own
   stats.  Snapshot (JSON) and Prometheus-style text exposition.
 * :mod:`repro.observability.tracing` — per-request span trees
-  (parse → plan compile → witness build → queue wait → shard kernel →
-  solver) with context carried across the batcher and worker-pool
-  thread hops, buffered in a ring :class:`TraceSink` and exportable as
+  (parse → plan compile → witness build → queue wait → batch kernel →
+  solver) with context carried across the batcher's thread hop,
+  buffered in a ring :class:`TraceSink` and exportable as
   Chrome trace-event JSON.
 * :mod:`repro.observability.slowlog` — a bounded ring of requests that
   exceeded a latency threshold, with the rendered plan and witness
   build stats attached for offline reproduction.
 
-Layering rule: this package imports nothing from :mod:`repro.service`,
-:mod:`repro.parallel`, or :mod:`repro.provenance` — they import *it*.
+Layering rule: this package imports nothing from :mod:`repro.service`
+or :mod:`repro.provenance` — they import *it*.
 That keeps instrumentation available to every layer without cycles.
 """
 

@@ -1,15 +1,14 @@
 """A thread-safe registry of counters, gauges, and latency histograms.
 
-The serving stack (:mod:`repro.service`), the sharded executor
-(:mod:`repro.parallel`), and the witness kernels each already count what
+The serving stack (:mod:`repro.service`), the provenance cache, and the
+witness kernels each already count what
 they do — but as private dict fields a caller can only reach by knowing
 the object that owns them.  :class:`MetricsRegistry` gives every layer one
 named, process-visible place to put those numbers:
 
 * :class:`Counter` — a monotonically increasing total (requests served,
   deadline expiries, delta patches);
-* :class:`Gauge` — a point-in-time level (batcher queue depth, live
-  pools);
+* :class:`Gauge` — a point-in-time level (batcher queue depth);
 * :class:`Histogram` — **log-bucketed** latency distribution with fixed
   bucket bounds (powers of two from 1 µs), so p50/p95/p99 come from a
   cumulative bucket walk, two histograms merge by adding bucket counts
@@ -17,7 +16,7 @@ named, process-visible place to put those numbers:
   recording costs one bisect plus one lock;
 * **collectors** — callables polled at snapshot time, the pull-style
   bridge for subsystems that already keep their own counters (the
-  provenance cache, the pool registry) without making their hot paths pay
+  provenance cache) without making their hot paths pay
   a second increment.
 
 Three export forms: :meth:`MetricsRegistry.snapshot` (plain dicts, the
@@ -364,7 +363,7 @@ class MetricsRegistry:
         """Poll ``fn`` at snapshot/exposition time under ``name``.
 
         The bridge for subsystems that already keep counters (the
-        provenance cache, the pool registry): their stats dict appears in
+        provenance cache): their stats dict appears in
         every snapshot without their hot paths paying a second increment.
         A collector that raises is reported as an error entry, never
         allowed to break the scrape.

@@ -3,7 +3,7 @@
 A *span* is a named, timed interval with string-keyed attributes and
 child spans.  The serving stack opens one root span per request and
 nests the stages under it — parse, plan compile (cached vs. fresh),
-witness build, batcher queue wait, shard kernel, solver — so a slow
+witness build, batcher queue wait, batch kernel, solver — so a slow
 request decomposes into *where the time went* rather than one opaque
 latency number.
 
@@ -13,9 +13,7 @@ context, so the two scheduler hops in the serving stack carry it by
 hand: :meth:`Tracer.capture` on the submitting side packages the current
 span, and :meth:`Tracer.adopt` (a context manager) re-installs it on the
 executing thread.  ``MicroBatcher`` captures at ``submit`` and adopts in
-the scheduler thread; ``WorkerPool`` does the same around thread-backend
-chunk tasks (process workers run in another interpreter — their spans
-are recorded parent-side around the pool call instead).
+the scheduler thread.
 
 Finished **root** spans land in an installed :class:`TraceSink` — a
 bounded ring buffer (old traces drop first) exportable as Chrome

@@ -25,14 +25,12 @@ representation changes:
   survive deleting ``T``" for whole vectors of candidates without
   re-running the query — the vector-level API under
   :class:`repro.deletion.hypothetical.HypotheticalDeletions`;
-* with ``workers > 1`` the batch methods run **sharded**
-  (:mod:`repro.parallel`): the vector is partitioned into chunks, each
-  chunk answered from an immutable :class:`~repro.parallel.shards.
-  ShardSnapshot` of the witness tables (threads share it zero-copy, forked
-  processes copy-on-write), and the merge interns identical answers so a
-  destroyed set — and the surviving view it induces — is materialized once
-  per *distinct* answer instead of once per candidate.  Answers are
-  bit-identical to the serial path.
+* a batch vector of at least :data:`VECTORIZED_MIN_BATCH` candidates is
+  answered instead by the vectorized kernel
+  (:class:`~repro.provenance.witness_table.VectorSurvival`, numpy + scipy
+  when they import), which interns identical answers so a destroyed set —
+  and the surviving view it induces — is built once per *distinct*
+  answer.  Answers are the same on both kernels.
 
 The annotated evaluation itself runs on the **compiled plan layer**
 (:mod:`repro.algebra.plan`): :func:`bitset_why_provenance` compiles the
@@ -54,11 +52,14 @@ from repro.algebra.plan import CompiledPlan
 from repro.algebra.relation import Database, Relation, Row
 from repro.algebra.schema import Schema
 from repro.observability.metrics import default_registry as _registry
-from repro.parallel import ShardSnapshot, sharded_destroyed_indices
 from repro.provenance.cache import cached_plan
 from repro.provenance.interning import SourceIndex, iter_bits
 from repro.provenance.locations import SourceTuple
-from repro.provenance.witness_table import SurvivalIndex, WitnessTable
+from repro.provenance.witness_table import (
+    SurvivalIndex,
+    VectorSurvival,
+    WitnessTable,
+)
 
 __all__ = [
     "Mask",
@@ -79,10 +80,11 @@ DeletionLike = "Sequence[int] | int"
 #: A tuple's witness basis: its minimal monomials, as masks.
 MaskWitnesses = Tuple[int, ...]
 
-#: Vectors shorter than this answer serially even when ``workers`` > 1:
-#: below it the sharded chunk kernel's per-batch set-up costs more than
-#: the whole serial scan, and there is nothing to parallelize anyway.
-SHARD_MIN_BATCH = 128
+#: Vectors at least this long go to the vectorized kernel.  Its set-up
+#: cost is per vector: on a 32k-row view it overtakes the survival index
+#: near 64 candidates, so serving batches stay on the survival index and
+#: the solvers' long candidate vectors do not.
+VECTORIZED_MIN_BATCH = 128
 
 #: A kernel whose survival index has this many times more slots than the
 #: view has rows stops patching the index across writes and rebuilds it
@@ -193,7 +195,7 @@ class BitsetProvenance:
         "_index",
         "_table",
         "_survival",
-        "_snapshot",
+        "_vector",
         "build_stats",
     )
 
@@ -218,8 +220,8 @@ class BitsetProvenance:
         #: Lazy survival-kernel state (built on the first probe, carried
         #: across :meth:`apply_delta` once warm).
         self._survival: "SurvivalIndex | None" = None
-        #: Lazy immutable snapshot backing the sharded batch path.
-        self._snapshot: "ShardSnapshot | None" = None
+        #: Lazy vectorized kernel for long vectors.
+        self._vector: "VectorSurvival | None" = None
 
     # ------------------------------------------------------------------
     # Structure
@@ -344,130 +346,69 @@ class BitsetProvenance:
             row for row in self._table.rows if row not in destroyed
         )
 
+    def _vector_survival(self) -> "VectorSurvival | None":
+        """The vectorized kernel over this version's table, built on the
+        first long vector; ``None`` without numpy and scipy."""
+        if self._vector is None:
+            self._vector = VectorSurvival.build(self._table)
+        return self._vector
+
+    def _batch(self, masks: "Sequence[DeletionLike]", finish=None) -> List:
+        """``finish(destroyed rows)`` for each candidate of a vector.
+
+        Vectors of at least :data:`VECTORIZED_MIN_BATCH` candidates go to
+        the vectorized kernel when it can be built; there identical
+        destroyed sets are answered, and finished, once.  Everything else
+        runs on the survival index.
+        """
+        ids = [_as_ids(mask) for mask in masks]
+        vector = (
+            self._vector_survival()
+            if len(ids) >= VECTORIZED_MIN_BATCH
+            else None
+        )
+        if vector is None:
+            destroyed = self._destroyed_each(ids)
+            return destroyed if finish is None else list(map(finish, destroyed))
+        answers, picks = vector.destroyed_indices(ids)
+        row = self._table.rows.__getitem__
+        distinct = [frozenset(map(row, answer)) for answer in answers]
+        if finish is not None:
+            distinct = list(map(finish, distinct))
+        return [distinct[pick] for pick in picks]
+
     def batch_destroyed(
-        self,
-        masks: "Sequence[DeletionLike]",
-        workers: "int | None" = None,
+        self, masks: "Sequence[DeletionLike]"
     ) -> List[FrozenSet[Row]]:
         """Destroyed-row sets for a whole vector of candidate deletions.
 
-        The vector-level API of the exact solvers' candidate scans.  Each
-        answer costs the same as one :meth:`side_effects_mask`-style pass;
-        the batch's value is answering a candidate vector from the
-        witnesses instead of re-running the query per candidate (see
-        ``benchmarks/bench_plan_compile.py``'s per-candidate-vs-batched
-        ablation).
-
-        ``workers`` > 1 answers the vector sharded (:mod:`repro.parallel`):
-        chunks are evaluated on worker threads/processes from an immutable
-        snapshot and the merged answers are interned, so identical
-        destroyed sets are materialized once.  Answers are bit-identical to
-        the serial path (``workers`` ``None``/0/1); vectors shorter than
-        :data:`SHARD_MIN_BATCH` stay serial regardless.
+        The vector-level API of the exact solvers' candidate scans.  Short
+        vectors cost one :meth:`side_effects_mask`-style pass per
+        candidate; vectors of at least :data:`VECTORIZED_MIN_BATCH`
+        candidates are answered by the vectorized kernel, which shares one
+        answer object between candidates that destroy the same rows.
+        Either way the answers are the same.
         """
-        ids = [_as_ids(mask) for mask in masks]
-        if workers is not None and workers > 1 and len(ids) >= SHARD_MIN_BATCH:
-            interned: Dict[Tuple[int, ...], FrozenSet[Row]] = {}
-            return [
-                self._intern_destroyed(indices, interned)
-                for indices in self._sharded_indices(ids, workers)
-            ]
-        return self._destroyed_each(ids)
+        return self._batch(masks)
 
     def batch_side_effects_mask(
-        self,
-        target: Row,
-        masks: "Sequence[DeletionLike]",
-        workers: "int | None" = None,
+        self, target: Row, masks: "Sequence[DeletionLike]"
     ) -> List[FrozenSet[Row]]:
-        """:meth:`side_effects_mask` for a whole vector of deletions.
-
-        ``workers`` shards the vector exactly as in :meth:`batch_destroyed`.
-        """
-        target = tuple(target)
-        ids = [_as_ids(mask) for mask in masks]
-        if workers is not None and workers > 1 and len(ids) >= SHARD_MIN_BATCH:
-            interned: Dict[Tuple[int, ...], FrozenSet[Row]] = {}
-            out: List[FrozenSet[Row]] = []
-            for indices in self._sharded_indices(ids, workers):
-                effects = interned.get(indices)
-                if effects is None:
-                    rows = self._shard_snapshot().rows
-                    effects = frozenset(
-                        row
-                        for row in map(rows.__getitem__, indices)
-                        if row != target
-                    )
-                    interned[indices] = effects
-                out.append(effects)
-            return out
-        exclude = (target,)
-        return [d.difference(exclude) for d in self._destroyed_each(ids)]
+        """:meth:`side_effects_mask` for a whole vector of deletions."""
+        exclude = (tuple(target),)
+        return self._batch(masks, lambda d: d.difference(exclude))
 
     def batch_surviving_rows(
-        self,
-        masks: "Sequence[DeletionLike]",
-        workers: "int | None" = None,
+        self, masks: "Sequence[DeletionLike]"
     ) -> List[FrozenSet[Row]]:
         """:meth:`surviving_rows` for a whole vector of deletions.
 
         The literal "what survives after deleting ``T``?" vector — the
         question the exact solvers spend their time on.  Candidates that
-        destroy nothing share one baseline frozenset; on the sharded path
-        (``workers`` > 1) candidates with identical destroyed sets also
-        share one surviving view, so the per-answer set difference is paid
-        once per distinct answer.
+        destroy nothing share one baseline frozenset.
         """
         all_rows = frozenset(self._table.rows)
-        ids = [_as_ids(mask) for mask in masks]
-        if workers is not None and workers > 1 and len(ids) >= SHARD_MIN_BATCH:
-            rows = self._shard_snapshot().rows
-            interned: Dict[Tuple[int, ...], FrozenSet[Row]] = {(): all_rows}
-            out: List[FrozenSet[Row]] = []
-            for indices in self._sharded_indices(ids, workers):
-                survivors = interned.get(indices)
-                if survivors is None:
-                    survivors = all_rows.difference(
-                        map(rows.__getitem__, indices)
-                    )
-                    interned[indices] = survivors
-                out.append(survivors)
-            return out
-        return [
-            all_rows - destroyed if destroyed else all_rows
-            for destroyed in self._destroyed_each(ids)
-        ]
-
-    def _shard_snapshot(self) -> ShardSnapshot:
-        """The immutable snapshot worker shards answer from (built once).
-
-        The snapshot adopts the CSR arrays as its own layout, so nothing is
-        re-encoded along the way.
-        """
-        if self._snapshot is None:
-            self._snapshot = ShardSnapshot.from_witness_table(
-                self._table, len(self._index)
-            )
-        return self._snapshot
-
-    def _sharded_indices(
-        self, ids: "Sequence[Sequence[int]]", workers: int
-    ) -> List[Tuple[int, ...]]:
-        """Destroyed row-index tuples for ``ids``, answered sharded."""
-        return sharded_destroyed_indices(self._shard_snapshot(), ids, workers)
-
-    def _intern_destroyed(
-        self,
-        indices: Tuple[int, ...],
-        interned: "Dict[Tuple[int, ...], FrozenSet[Row]]",
-    ) -> FrozenSet[Row]:
-        """The destroyed frozenset for an index tuple, built once per answer."""
-        answer = interned.get(indices)
-        if answer is None:
-            rows = self._shard_snapshot().rows
-            answer = frozenset(map(rows.__getitem__, indices))
-            interned[indices] = answer
-        return answer
+        return self._batch(masks, lambda d: all_rows - d if d else all_rows)
 
     # ------------------------------------------------------------------
     # Incremental maintenance (the write path)

@@ -54,7 +54,6 @@ coexist under distinct keys.
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 from collections import OrderedDict
@@ -81,12 +80,6 @@ __all__ = [
 #: (kind, id(query), id(db), view_name)
 _Key = Tuple[str, int, int, str]
 
-
-def _unlink_quietly(path: str) -> None:
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
 
 #: Bounded-walk limits for the approximate entry sizing: provenance objects
 #: can hold millions of interned rows, and an exact deep walk would cost as
@@ -185,12 +178,6 @@ class ProvenanceCache:
         "_lock",
         "_inflight",
         "_plan_inflight",
-        "_spill_dir",
-        "_spilled",
-        "_spill_maxsize",
-        "_spill_seq",
-        "_spills",
-        "_spill_attaches",
         "_witness_builds",
         "_witness_build_seconds",
         "_witness_rows",
@@ -204,7 +191,6 @@ class ProvenanceCache:
         maxsize: int = 64,
         plan_maxsize: int = 256,
         max_bytes: "int | None" = None,
-        spill_dir: "str | None" = None,
     ):
         if maxsize < 1:
             raise ValueError("maxsize must be positive")
@@ -224,20 +210,6 @@ class ProvenanceCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        #: On-disk spill of evicted *spillable* values (those exposing the
-        #: ``spill_save(path)`` / ``spill_load(path, query, db)`` protocol,
-        #: e.g. :class:`repro.columnar.store.ColumnStore`): key -> (query,
-        #: db, type, path).  The stub keeps the query/db alive so the
-        #: identity key stays valid; a later miss re-attaches from disk
-        #: instead of recomputing.  Disabled while ``spill_dir`` is None.
-        self._spill_dir = spill_dir
-        self._spilled: "OrderedDict[_Key, Tuple[Query, Database, type, str]]" = (
-            OrderedDict()
-        )
-        self._spill_maxsize = 8
-        self._spill_seq = 0
-        self._spills = 0
-        self._spill_attaches = 0
         #: Witness-build observability (fed by bitset_why_provenance): how
         #: many annotated evaluations ran, their wall time, and the shape
         #: of the tables they produced.
@@ -273,7 +245,6 @@ class ProvenanceCache:
         maxsize: "int | None" = None,
         plan_maxsize: "int | None" = None,
         max_bytes: "int | None | type(...)" = ...,
-        spill_dir: "str | None | type(...)" = ...,
     ) -> None:
         """Rebound a live cache (``None``/``...`` keeps a limit unchanged).
 
@@ -298,10 +269,6 @@ class ProvenanceCache:
                         "max_bytes must be positive (or None: unbounded)"
                     )
                 self._max_bytes = max_bytes
-            if spill_dir is not ...:
-                if spill_dir is None:
-                    self._drop_spilled()
-                self._spill_dir = spill_dir
             if self._max_bytes is not None:
                 # Entries inserted while unbounded were never sized; size
                 # them now so the new bound accounts for the whole cache.
@@ -334,65 +301,6 @@ class ProvenanceCache:
             key, evicted = self._entries.popitem(last=False)
             self._bytes -= evicted[3]
             self._evictions += 1
-            self._maybe_spill(key, evicted)
-
-    def _maybe_spill(self, key: _Key, entry) -> None:
-        """Page an evicted spillable value out to ``spill_dir``.
-
-        A value is spillable when it implements ``spill_save(path) -> bool``
-        and its type implements ``spill_load(path, query, db)``.  The stub
-        keeps the entry's query/db referenced (pinning the identity key) but
-        releases the value itself — that is the memory being reclaimed.
-        """
-        if self._spill_dir is None:
-            return
-        query, db, value, _size = entry
-        save = getattr(value, "spill_save", None)
-        load = getattr(type(value), "spill_load", None)
-        if save is None or load is None:
-            return
-        self._spill_seq += 1
-        path = os.path.join(
-            self._spill_dir, f"spill-{os.getpid()}-{self._spill_seq}.flat"
-        )
-        try:
-            saved = bool(save(path))
-        except Exception:
-            saved = False
-        if not saved:
-            _unlink_quietly(path)
-            return
-        self._spilled[key] = (query, db, type(value), path)
-        self._spills += 1
-        while len(self._spilled) > self._spill_maxsize:
-            _, stub = self._spilled.popitem(last=False)
-            _unlink_quietly(stub[3])
-
-    def _drop_spilled(self) -> None:
-        for stub in self._spilled.values():
-            _unlink_quietly(stub[3])
-        self._spilled.clear()
-
-    def _attach_spilled(self, key: _Key) -> Any:
-        """Re-attach a spilled value for ``key``, or None when unavailable.
-
-        Called by the claimant of a missed key; the attach happens outside
-        the lock (file IO), mirroring how computes run.
-        """
-        with self._lock:
-            stub = self._spilled.pop(key, None)
-        if stub is None:
-            return None
-        query, db, value_type, path = stub
-        try:
-            value = value_type.spill_load(path, query, db)
-        except Exception:
-            value = None
-        _unlink_quietly(path)
-        if value is not None:
-            with self._lock:
-                self._spill_attaches += 1
-        return value
 
     def _claim(self, inflight: Dict, key) -> "threading.Event | None":
         """Under the lock: claim ``key`` for this thread, or return the
@@ -444,10 +352,7 @@ class ProvenanceCache:
             # re-check (its compute may also have failed — then we claim).
             event.wait()
         try:
-            # A spilled copy on disk beats recomputing from scratch.
-            value = self._attach_spilled(key)
-            if value is None:
-                value = compute()
+            value = compute()
         except BaseException:
             with self._lock:
                 self._release(self._inflight, key)
@@ -520,18 +425,13 @@ class ProvenanceCache:
         again (all lookups go through the new object's identity), so
         keeping them would pin the dead database in memory.  The plan memo
         is untouched — plans key on schemas and stats buckets, not
-        database identity.  Dropped entries (and spilled stubs) count into
-        ``invalidations``.
+        database identity.  Dropped entries count into ``invalidations``.
         """
         dropped = 0
         with self._lock:
             for key in [k for k, e in self._entries.items() if e[1] is db]:
                 entry = self._entries.pop(key)
                 self._bytes -= entry[3]
-                dropped += 1
-            for key in [k for k, s in self._spilled.items() if s[1] is db]:
-                stub = self._spilled.pop(key)
-                _unlink_quietly(stub[3])
                 dropped += 1
             self._invalidations += dropped
         return dropped
@@ -648,7 +548,6 @@ class ProvenanceCache:
             self._entries.clear()
             self._plans.clear()
             self._bytes = 0
-            self._drop_spilled()
             self.reset_stats()
 
     def reset_stats(self) -> None:
@@ -661,8 +560,6 @@ class ProvenanceCache:
             self._plan_misses = 0
             self._plan_evictions = 0
             self._bytes_high_water = self._bytes
-            self._spills = 0
-            self._spill_attaches = 0
             self._witness_builds = 0
             self._witness_build_seconds = 0.0
             self._witness_rows = 0
@@ -681,9 +578,6 @@ class ProvenanceCache:
                 "approx_bytes": self._bytes,
                 "bytes_high_water": self._bytes_high_water,
                 "max_bytes": self._max_bytes,
-                "spills": self._spills,
-                "spill_attaches": self._spill_attaches,
-                "spilled_entries": len(self._spilled),
                 "plan_hits": self._plan_hits,
                 "plan_misses": self._plan_misses,
                 "plan_size": len(self._plans),

@@ -155,18 +155,17 @@ class WhyProvenance:
         self,
         target: Row,
         deletion_sets: "Sequence[FrozenSet[SourceTuple]]",
-        workers: "int | None" = None,
     ) -> "List[FrozenSet[Row]]":
         """:meth:`side_effects` for a whole vector of candidate deletions.
 
         The batched inner loop of the exact deletion solvers: the whole
-        candidate vector is answered from the witness tables through the
-        inverted index — sharded across ``workers`` when more than one is
-        requested (:mod:`repro.parallel`).
+        candidate vector is answered from the witness tables, by the
+        kernel :meth:`~repro.provenance.bitset.BitsetProvenance.
+        batch_destroyed` picks for its length.
         """
         kernel = self._kernel
         encoded = [kernel.encode_deletions_auto(d) for d in deletion_sets]
-        return kernel.batch_side_effects_mask(tuple(target), encoded, workers=workers)
+        return kernel.batch_side_effects_mask(tuple(target), encoded)
 
     def __len__(self) -> int:
         return len(self._kernel)

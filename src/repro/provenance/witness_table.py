@@ -4,12 +4,11 @@ The bitset kernel's logical object is ``row -> tuple of witness masks``
 (:mod:`repro.provenance.bitset`), where each mask is one whole-universe
 Python int.  At scale the ints dominate: every scan/merge/join of the
 annotated executor pays O(universe/64) words per mask however few bits are
-set, and every derived structure (inverted index, shard snapshot) would
+set, and every derived structure (inverted index, vectorized kernel) would
 re-walk the big ints to get the bit ids back out.
 
-:class:`WitnessTable` stores the same witness sets as three flat arrays —
-the compressed-sparse-row layout :class:`~repro.parallel.shards.
-ShardSnapshot` already uses on disk:
+:class:`WitnessTable` stores the same witness sets as three flat arrays in
+compressed-sparse-row layout:
 
 * ``row_offsets`` (``nrows + 1``): row ``i``'s witnesses are the span
   ``[row_offsets[i], row_offsets[i+1])``;
@@ -29,15 +28,23 @@ vectorized kernels and plain Python lists when built by the pure-Python
 fallback; every method branches on the container, so values — and every
 downstream answer — are bit-identical either way (property-tested).
 
-:class:`SurvivalIndex` is the one pure-Python survival kernel over a table:
-"which rows lose every witness when these source ids are deleted?"
+Two survival kernels answer "which rows lose every witness when these
+source ids are deleted?" over a table:
+
+* :class:`SurvivalIndex`, pure Python, walks an inverted index from source
+  id to rows, so one candidate costs only the rows it can reach;
+* :class:`VectorSurvival` answers a whole candidate vector with two sparse
+  matrix products (numpy + scipy, imported on first use), and interns
+  identical answers.  Its set-up cost is per vector, so it only pays for
+  long vectors; :class:`~repro.provenance.bitset.BitsetProvenance` picks
+  between the two by vector length.
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.provenance.interning import iter_bits
 
@@ -49,7 +56,7 @@ except ImportError:  # pragma: no cover - exercised via the no-numpy CI leg
     _np = None
     HAVE_NUMPY = False
 
-__all__ = ["WitnessTable", "SurvivalIndex"]
+__all__ = ["WitnessTable", "SurvivalIndex", "VectorSurvival"]
 
 
 def _as_int_list(container) -> List[int]:
@@ -64,7 +71,15 @@ def _as_int_list(container) -> List[int]:
 class WitnessTable:
     """A view's minimal witnesses as CSR arrays, aligned with ``rows``."""
 
-    __slots__ = ("rows", "row_offsets", "wit_offsets", "bit_ids", "_masks", "_row_pos")
+    __slots__ = (
+        "rows",
+        "row_offsets",
+        "wit_offsets",
+        "bit_ids",
+        "_masks",
+        "_row_pos",
+        "_bits",
+    )
 
     def __init__(self, rows, row_offsets, wit_offsets, bit_ids):
         self.rows: Tuple[Tuple, ...] = tuple(rows)
@@ -75,6 +90,8 @@ class WitnessTable:
         self._masks: "Optional[Dict[Tuple, Tuple[int, ...]]]" = None
         #: Lazy row -> position map for membership tests.
         self._row_pos: "Optional[Dict[Tuple, int]]" = None
+        #: Memoized :meth:`bits_of` decodes (the table never changes).
+        self._bits: "Dict[Tuple, Tuple[Tuple[int, ...], ...]]" = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -201,7 +218,10 @@ class WitnessTable:
 
     def bits_of(self, row) -> "Optional[Tuple[Tuple[int, ...], ...]]":
         """``row``'s witnesses as ascending bit-id tuples, or ``None`` when
-        absent — a point lookup that decodes one row's spans only."""
+        absent — a point lookup that decodes one row's spans only, once."""
+        wits = self._bits.get(row)
+        if wits is not None:
+            return wits
         if self._row_pos is None:
             self._row_pos = {r: i for i, r in enumerate(self.rows)}
         i = self._row_pos.get(row)
@@ -209,10 +229,11 @@ class WitnessTable:
             return None
         row_offsets, wit_offsets = self.row_offsets, self.wit_offsets
         bit_ids = self.bit_ids
-        return tuple(
+        wits = self._bits[row] = tuple(
             tuple(_as_int_list(bit_ids[wit_offsets[w] : wit_offsets[w + 1]]))
             for w in range(int(row_offsets[i]), int(row_offsets[i + 1]))
         )
+        return wits
 
     def masks_of(self, row) -> "Optional[Tuple[int, ...]]":
         """``row``'s minimized mask tuple, or ``None`` when absent.
@@ -429,47 +450,6 @@ class WitnessTable:
             new_rows, new_row_offsets, new_wit_offsets, new_bit_ids
         )
 
-    # ------------------------------------------------------------------
-    # Flat-file (zero-copy) form
-    # ------------------------------------------------------------------
-    def write_file(self, path: str) -> None:
-        """Serialize to the flat container of :mod:`repro.columnar.flatfile`.
-
-        The CSR arrays go in as int64 sections (memory-mappable on attach,
-        no re-encoding); the row tuples ride along as one pickled blob.
-        """
-        import pickle
-
-        from repro.columnar.flatfile import write_flat
-
-        write_flat(
-            path,
-            {"kind": "witness-table", "nrows": len(self.rows)},
-            {
-                "row_offsets": self.row_offsets,
-                "wit_offsets": self.wit_offsets,
-                "bit_ids": self.bit_ids,
-            },
-            {"rows": pickle.dumps(self.rows, protocol=pickle.HIGHEST_PROTOCOL)},
-        )
-
-    @classmethod
-    def attach_file(cls, path: str) -> "WitnessTable":
-        """Attach a table written by :meth:`write_file` (arrays mmap-backed)."""
-        import pickle
-
-        from repro.columnar.flatfile import read_flat
-
-        meta, arrays, blobs = read_flat(path)
-        if meta.get("kind") != "witness-table":
-            raise ValueError(f"{path!r} does not hold a WitnessTable")
-        return cls(
-            pickle.loads(blobs["rows"]),
-            arrays["row_offsets"],
-            arrays["wit_offsets"],
-            arrays["bit_ids"],
-        )
-
     def __repr__(self) -> str:
         return (
             f"WitnessTable({len(self.rows)} rows, {self.witness_count} "
@@ -526,10 +506,9 @@ class SurvivalIndex:
     def destroyed(self, ids: "Sequence[int]") -> List[int]:
         """Slots of the rows whose every witness meets the deleted ``ids``.
 
-        This is the one pure-Python survival kernel: the serial batch
-        methods of :class:`~repro.provenance.bitset.BitsetProvenance` and
-        the no-numpy chunk kernel of :class:`~repro.parallel.shards.
-        ShardSnapshot` both answer through it.
+        This is the pure-Python survival kernel: every single probe and
+        every short vector of :class:`~repro.provenance.bitset.
+        BitsetProvenance` answers through it.
         """
         touched = self.touched
         if len(ids) == 1:
@@ -610,3 +589,150 @@ class SurvivalIndex:
                     wits.append(())
                 rewrite(slot, tuple(tuple(iter_bits(mask)) for mask in masks))
         return SurvivalIndex(rows, wits, touched, slot_of)
+
+
+#: Candidates per sparse product.  Bounds the (witness, candidate) matrix
+#: a long vector materializes at once; answers are interned across chunks.
+_VECTOR_CHUNK = 4096
+
+#: ``scipy.sparse`` once imported, ``False`` when it (or numpy) is
+#: missing, ``None`` before the first long vector asks.
+_SPARSE = None
+
+
+def scipy_sparse():
+    """``scipy.sparse``, imported on first use; ``None`` without it.
+
+    Importing scipy costs about 150 ms and megabytes of memory, and only
+    long candidate vectors need it, so it is not imported at module load.
+    """
+    global _SPARSE
+    if _SPARSE is None:
+        _SPARSE = False
+        if HAVE_NUMPY:
+            try:
+                from scipy import sparse
+            except ImportError:
+                pass
+            else:
+                _SPARSE = sparse
+    return _SPARSE or None
+
+
+class VectorSurvival:
+    """The vectorized survival kernel over one witness table.
+
+    A candidate vector becomes a sparse candidate × bit matrix ``D``.
+    With ``B`` the bit × witness matrix, ``D @ B`` marks every (candidate,
+    witness) pair that shares a bit; with ``R`` the witness × row matrix,
+    ``(D @ B) @ R`` counts, per candidate, each row's witnesses it meets.
+    A row is destroyed exactly when that count equals its witness count.
+    Work is proportional to the nonzeros, the same sparsity
+    :class:`SurvivalIndex` exploits, but runs in C.
+
+    Answers are ascending row *indices* into the table's ``rows``, each
+    distinct answer listed once.  Built by :meth:`build`, which returns
+    ``None`` without numpy and scipy.
+    """
+
+    __slots__ = ("_sparse", "_B", "_R", "_row_nwit", "_nbits")
+
+    def __init__(self, sparse, table: WitnessTable):
+        self._sparse = sparse
+        wit_offsets = _np.asarray(table.wit_offsets, dtype=_np.int64)
+        bit_ids = _np.asarray(table.bit_ids, dtype=_np.int64)
+        row_offsets = _np.asarray(table.row_offsets, dtype=_np.int64)
+        nwit = len(wit_offsets) - 1
+        # Ids past the table's largest belong to no witness: a candidate's
+        # copies of them are dropped on encode.
+        self._nbits = int(bit_ids.max()) + 1 if bit_ids.size else 1
+        row_nwit = _np.diff(row_offsets)
+        # bit -> the witnesses holding it, in witness order.
+        wit_of_bit = _np.repeat(_np.arange(nwit), _np.diff(wit_offsets))
+        by_bit = _np.argsort(bit_ids, kind="stable")
+        bit_starts = _np.zeros(self._nbits + 1, dtype=_np.int64)
+        _np.cumsum(
+            _np.bincount(bit_ids, minlength=self._nbits), out=bit_starts[1:]
+        )
+        self._B = sparse.csr_matrix(
+            (
+                _np.ones(bit_ids.size, dtype=_np.int32),
+                wit_of_bit[by_bit],
+                bit_starts,
+            ),
+            shape=(self._nbits, nwit),
+        )
+        # witness -> its row: one entry per witness.
+        self._R = sparse.csr_matrix(
+            (
+                _np.ones(nwit, dtype=_np.int32),
+                _np.repeat(_np.arange(len(table)), row_nwit),
+                _np.arange(nwit + 1),
+            ),
+            shape=(nwit, len(table)),
+        )
+        self._row_nwit = row_nwit.astype(_np.int32)
+
+    @classmethod
+    def build(cls, table: WitnessTable) -> "Optional[VectorSurvival]":
+        """The kernel over ``table``, or ``None`` without numpy and scipy."""
+        sparse = scipy_sparse()
+        return None if sparse is None else cls(sparse, table)
+
+    def destroyed_indices(
+        self, vector: "Sequence[Sequence[int]]"
+    ) -> "Tuple[List[Tuple[int, ...]], List[int]]":
+        """The rows each candidate destroys, as ``(answers, picks)``.
+
+        ``answers`` lists each distinct answer once, as ascending row
+        indices; candidate ``j`` destroys ``answers[picks[j]]``.  Each
+        candidate is a sequence of source ids.
+        """
+        answers: List[Tuple[int, ...]] = [()]
+        position: Dict[Tuple[int, ...], int] = {(): 0}
+        picks: List[int] = []
+        for start in range(0, len(vector), _VECTOR_CHUNK):
+            chunk = vector[start : start + _VECTOR_CHUNK]
+            for answer in self._chunk(chunk):
+                pos = position.get(answer)
+                if pos is None:
+                    pos = position[answer] = len(answers)
+                    answers.append(answer)
+                picks.append(pos)
+        return answers, picks
+
+    def _chunk(self, chunk) -> "Iterator[Tuple[int, ...]]":
+        """Each candidate's destroyed row indices, in candidate order."""
+        m = len(chunk)
+        if not self._row_nwit.size:
+            return iter([()] * m)
+        lengths = _np.fromiter(map(len, chunk), dtype=_np.int64, count=m)
+        bit_ids = _np.fromiter(
+            itertools.chain.from_iterable(chunk),
+            dtype=_np.int64,
+            count=int(lengths.sum()),
+        )
+        known = bit_ids < self._nbits
+        # Candidate j's known ids end at kept_ends[offsets[j + 1]].
+        kept_ends = _np.zeros(bit_ids.size + 1, dtype=_np.int64)
+        _np.cumsum(known, out=kept_ends[1:])
+        offsets = _np.zeros(m + 1, dtype=_np.int64)
+        _np.cumsum(lengths, out=offsets[1:])
+        D = self._sparse.csr_matrix(
+            (
+                _np.ones(int(kept_ends[-1]), dtype=_np.int32),
+                bit_ids[known],
+                kept_ends[offsets],
+            ),
+            shape=(m, self._nbits),
+        )
+        P = D @ self._B  # (candidate, witness) shared-bit counts
+        P.data.fill(1)  # indicator: the candidate meets the witness
+        cnt = P @ self._R  # (candidate, row) met-witness counts
+        cnt.sort_indices()  # ascending row indices per candidate
+        keep = cnt.data == self._row_nwit[cnt.indices]
+        ends = _np.zeros(keep.size + 1, dtype=_np.int64)
+        _np.cumsum(keep, out=ends[1:])
+        bounds = ends[cnt.indptr].tolist()
+        rows = cnt.indices[keep].tolist()
+        return (tuple(rows[a:b]) for a, b in zip(bounds, bounds[1:]))

@@ -6,9 +6,8 @@ fires at high volume.  This package turns the library into an engine built
 to serve them:
 
 * :mod:`repro.service.engine` — :class:`~repro.service.engine.ServiceEngine`:
-  a named-database registry, interned query parses, warm per-(database,
-  query) provenance state, and the persistent worker pool
-  (:mod:`repro.parallel.executor`) behind the batch calls;
+  a named-database registry, interned query parses, and warm
+  per-(database, query) provenance state behind the batch calls;
 * :mod:`repro.service.requests` — typed request/response dataclasses for
   the core operations (evaluate, why/where provenance, hypothetical
   deletion, deletion solve) and the newline-delimited-JSON wire codec;
@@ -22,10 +21,10 @@ to serve them:
   :class:`~repro.service.server.ServiceClient` tests and benchmarks drive.
 
 Every answer the serving path produces is bit-identical to the
-corresponding direct library call; batching and pooling change cost, never
+corresponding direct library call; batching changes cost, never
 semantics.  ``repro serve DB.json`` is the CLI entry point, and
 ``benchmarks/bench_service.py`` measures the unbatched-per-request vs
-batched+persistent-pool ablation.
+batched ablation.
 """
 
 from repro.service.requests import (

@@ -18,7 +18,7 @@ both:
   and answers them through one
   :meth:`~repro.service.engine.ServiceEngine.execute_hypothetical_batch`
   call — which de-duplicates identical candidates and answers the distinct
-  vector in one kernel pass over the persistent worker pool;
+  vector in one kernel pass;
 * every other request kind executes immediately, unbatched — evaluation
   and provenance answers are already single cache hits on the warm engine,
   so there is nothing to coalesce.

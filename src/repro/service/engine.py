@@ -15,10 +15,7 @@ alive across requests:
   pair, holding the compiled plan, the
   :class:`~repro.provenance.interning.SourceIndex`, and the
   :class:`~repro.provenance.bitset.BitsetProvenance` witness masks, built
-  on first touch and reused by every later request;
-* the **persistent worker pool** (:mod:`repro.parallel.executor`) — batch
-  calls shard over pools that are created once and reused, not rebuilt per
-  call; ``close()`` (or the context-manager exit) releases them.
+  on first touch and reused by every later request.
 
 The engine itself is synchronous and thread-safe; batching and the async
 front door live in :mod:`repro.service.batcher` and
@@ -47,7 +44,6 @@ from repro.deletion.api import delete_view_tuple, minimum_source_deletion
 from repro.deletion.hypothetical import HypotheticalDeletions
 from repro.observability import MetricsRegistry, SlowQueryLog, default_registry
 from repro.observability.tracing import tracer as _tracer
-from repro.parallel.executor import close_pools, pool_registry
 from repro.provenance.cache import (
     cached_plan,
     cached_where_provenance,
@@ -89,19 +85,14 @@ def _sorted_rows(rows) -> Tuple[Row, ...]:
 class ServiceEngine:
     """A registry of databases plus warm execution state, behind one lock.
 
-    ``workers`` is the shard count batch calls run with (``None`` = serial;
-    the sharded path falls back to serial below its amortization floor
-    regardless).  ``cache_entries``/``cache_bytes`` bound the shared
+    ``cache_entries``/``cache_bytes`` bound the shared
     process-wide :data:`~repro.provenance.cache.provenance_cache` for
     long-lived operation — they apply :meth:`~repro.provenance.cache.
     ProvenanceCache.set_capacity` on construction and default to leaving
     the library defaults untouched.  Note the bound is **process state**:
-    the cache (like the worker-pool registry) is shared by every engine
-    and library caller in the process, so it persists after this engine
-    closes, and when several engines set bounds the last constructor wins.
-    ``cache_spill_dir`` additionally lets byte-bound evictions page
-    spillable values (the per-database column stores) out to disk and
-    re-attach them on the next miss instead of rebuilding.
+    the cache is shared by every engine and library caller in the
+    process, so it persists after this engine closes, and when several
+    engines set bounds the last constructor wins.
 
     Evaluation and cold provenance builds run on the columnar substrate
     (:mod:`repro.columnar`) exactly when numpy imports: each registered
@@ -111,20 +102,16 @@ class ServiceEngine:
     answers are bit-identical either way.
 
     Use as a context manager, or call :meth:`close` when done: it drops
-    the warm state and releases the **process-wide** persistent worker
-    pools — in-flight batch calls of other engines fall back to fresh
-    pools or serial execution, with identical answers.
+    the warm state.
     """
 
     def __init__(
         self,
         databases: "Dict[str, Database] | None" = None,
         *,
-        workers: Optional[int] = None,
         optimizer_level: Optional[int] = None,
         cache_entries: Optional[int] = None,
         cache_bytes: Optional[int] = None,
-        cache_spill_dir: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
         slow_query_log: Optional[SlowQueryLog] = None,
         slow_query_s: Optional[float] = None,
@@ -141,7 +128,6 @@ class ServiceEngine:
         #: How many times each name has been (re-)registered; version
         #: tokens embed it so epochs never collide across registrations.
         self._generations: Dict[str, int] = {}
-        self._workers = workers
         self._optimizer_level = optimizer_level
         self._closed = False
         self._counters = {
@@ -182,16 +168,10 @@ class ServiceEngine:
         #: as "batcher" so a StatsRequest sees queue depth mid-traffic).
         self._stats_sources: Dict[str, Callable[[], Dict[str, object]]] = {}
         self._metrics.register_collector("provenance_cache", provenance_cache.stats)
-        self._metrics.register_collector("pools", lambda: pool_registry().stats())
-        if (
-            cache_entries is not None
-            or cache_bytes is not None
-            or cache_spill_dir is not None
-        ):
+        if cache_entries is not None or cache_bytes is not None:
             provenance_cache.set_capacity(
                 maxsize=cache_entries,
                 max_bytes=cache_bytes if cache_bytes is not None else ...,
-                spill_dir=cache_spill_dir if cache_spill_dir is not None else ...,
             )
         for name, db in (databases or {}).items():
             self.register_database(name, db)
@@ -320,7 +300,6 @@ class ServiceEngine:
                 query,
                 db,
                 optimizer_level=self._optimizer_level,
-                workers=self._workers,
                 store=self._column_store(db),
             )
         prov = oracle.provenance
@@ -631,7 +610,6 @@ class ServiceEngine:
             db,
             request.target,
             allow_exponential=request.exact,
-            workers=self._workers,
         )
         return DeleteResponse(
             algorithm=plan.algorithm,
@@ -651,8 +629,7 @@ class ServiceEngine:
         The batcher's entry point: identical candidates are answered once
         (the vector is de-duplicated here as well, so direct callers get
         the same interning), and the distinct vector is answered by one
-        mask-vector kernel pass — sharded over the persistent worker pool
-        when the engine was built with ``workers`` > 1.  Answer lists are
+        batch call on the witness kernel.  Answer lists are
         positionally aligned with ``deletion_sets`` and bit-identical to
         per-candidate :meth:`~repro.deletion.hypothetical.
         HypotheticalDeletions.view_after` calls.
@@ -709,7 +686,7 @@ class ServiceEngine:
         kernel = prov.kernel if prov is not None else None
         if kernel is not None:
             encoded = [kernel.encode_deletions_auto(d) for d in deletion_sets]
-            destroyed = kernel.batch_destroyed(encoded, workers=self._workers)
+            destroyed = kernel.batch_destroyed(encoded)
             return [_sorted_rows(rows) for rows in destroyed]
         baseline = oracle.rows
         return [
@@ -721,7 +698,7 @@ class ServiceEngine:
     # Introspection and lifecycle
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        """Request counters plus the shared cache and pool-registry stats.
+        """Request counters plus the shared cache stats.
 
         The answer is a **deep-copied snapshot**: mutating it, or the
         engine serving more requests, never changes a dict already handed
@@ -735,7 +712,6 @@ class ServiceEngine:
             counters["columnar"] = HAVE_NUMPY
             sources = dict(self._stats_sources)
         counters["cache"] = copy.deepcopy(provenance_cache.stats())
-        counters["pools"] = copy.deepcopy(pool_registry().stats())
         for name, fn in sources.items():
             try:
                 counters[name] = copy.deepcopy(dict(fn()))
@@ -790,16 +766,12 @@ class ServiceEngine:
     def slow_query_log(self) -> Optional[SlowQueryLog]:
         return self._slow_log
 
-    @property
-    def workers(self) -> Optional[int]:
-        return self._workers
-
     def _check_open(self) -> None:
         if self._closed:
             raise ServiceError("engine is closed")
 
     def close(self) -> None:
-        """Drop warm state and release the persistent worker pools."""
+        """Drop warm state.  Idempotent."""
         with self._lock:
             if self._closed:
                 return
@@ -809,7 +781,6 @@ class ServiceEngine:
             self._queries.clear()
             self._versions.clear()
             self._generations.clear()
-        close_pools()
 
     def __enter__(self) -> "ServiceEngine":
         return self

@@ -6,8 +6,8 @@ deletion solvers rely on cheap structural sharing.  What the write path
 adds is a *versioned handle* over a succession of snapshots:
 
 * :class:`DatabaseVersion` — a monotone per-database epoch token.  Every
-  applied delta bumps the epoch, so snapshots, mmap attachments, and
-  caches stamped with an epoch can detect staleness instead of silently
+  applied delta bumps the epoch, so snapshots and caches stamped with
+  an epoch can detect staleness instead of silently
   serving stale answers (the accountable-log stance of PAPERS.md).
 * :class:`Delta` — one applied write, *normalized to its net effect*:
   deleting an absent row or re-inserting a present one is a no-op under

@@ -7,14 +7,11 @@ semantics over a shared :class:`~repro.provenance.interning.SourceIndex`.
 The columnar kernels exist only where numpy imports (``requires_numpy``);
 without numpy the tuple executor is the one pure-Python path, and the
 ``test_forced_python*`` cases pin it against the oracles on the same
-inputs.  The flat-file / mmap layer must round-trip snapshots and column
-stores exactly, and the fast trusted ``Relation`` constructor must not
-have weakened public validation.
+inputs.  The fast trusted ``Relation`` constructor must not have weakened
+public validation.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,13 +26,10 @@ from repro.columnar import (
     columnar_annotated_table,
     columnar_rows,
 )
-from repro.columnar.flatfile import read_flat, write_flat
-from repro.parallel import ShardSnapshot, sharded_destroyed_indices
 from repro.provenance.bitset import minimize_masks
-from repro.provenance.cache import ProvenanceCache, provenance_cache
+from repro.provenance.cache import provenance_cache
 from repro.provenance.interning import SourceIndex
 from repro.provenance.why import why_provenance
-from repro.provenance.witness_table import WitnessTable
 from repro.oracle import interpret_view_rows, legacy_witnesses
 from repro.workloads import random_instance
 
@@ -209,75 +203,8 @@ class TestTrustedConstructor:
         assert fast == rel and fast.schema == rel.schema
 
 
-class TestFlatFile:
-    def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "t.flat")
-        meta = {"kind": "test", "n": 3}
-        arrays = {"a": [1, -2, 2**62], "empty": [], "b": [0, 5]}
-        blobs = {"payload": b"\x00\x01binary"}
-        write_flat(path, meta, arrays, blobs=blobs)
-        for mmap in (True, False):
-            got_meta, got_arrays, got_blobs = read_flat(path, mmap=mmap)
-            assert got_meta == meta
-            assert {k: list(v) for k, v in got_arrays.items()} == {
-                k: list(v) for k, v in arrays.items()
-            }
-            assert bytes(got_blobs["payload"]) == blobs["payload"]
-
-    def test_corrupt_magic_rejected(self, tmp_path):
-        path = str(tmp_path / "bad.flat")
-        with open(path, "wb") as handle:
-            handle.write(b"NOTMAGIC" + b"\x00" * 32)
-        with pytest.raises(ValueError):
-            read_flat(path)
-
-
 @pytest.mark.requires_numpy
-class TestColumnStoreSpill:
-    def test_spill_round_trip(self, tmp_path):
-        db = _mixed_db()
-        store = ColumnStore(db)
-        path = str(tmp_path / "store.flat")
-        assert store.spill_save(path)
-        loaded = ColumnStore.spill_load(path, db, db)
-        assert loaded.matches(db)
-        for name in ("R", "S"):
-            assert sorted(loaded.relation_columns(name).rows, key=repr) == sorted(
-                store.relation_columns(name).rows, key=repr
-            )
-        # the reloaded store still answers queries bit-identically
-        query = parse_query("PROJECT[A, D](R JOIN S)")
-        plan = _plan(query, db)
-        assert plan.rows_columnar(loaded) == interpret_view_rows(query, db)
-
-    def test_shared_index_store_refuses_to_spill(self, tmp_path):
-        index = SourceIndex()
-        store = ColumnStore(_mixed_db(), index=index)
-        assert not store.owns_index
-        assert not store.spill_save(str(tmp_path / "no.flat"))
-
-    def test_cache_spills_and_reattaches(self, tmp_path):
-        db1, db2 = _mixed_db(), _mixed_db()
-        cache = ProvenanceCache(maxsize=8, max_bytes=1, spill_dir=str(tmp_path))
-        s1 = cache.get_or_compute("columnar", db1, db1, "", lambda: ColumnStore(db1))
-        cache.get_or_compute("columnar", db2, db2, "", lambda: ColumnStore(db2))
-        stats = cache.stats()
-        assert stats["spills"] == 1 and stats["spilled_entries"] == 1
-        assert stats["bytes_high_water"] >= stats["approx_bytes"] > 0
-        recomputed = []
-        s1b = cache.get_or_compute(
-            "columnar", db1, db1, "",
-            lambda: recomputed.append(1) or ColumnStore(db1),
-        )
-        assert not recomputed, "spilled entry was recomputed, not attached"
-        assert cache.stats()["spill_attaches"] == 1
-        assert s1b.matches(db1)
-        assert sorted(s1b.relation_columns("R").rows, key=repr) == sorted(
-            s1.relation_columns("R").rows, key=repr
-        )
-        cache.clear()
-        assert not os.listdir(str(tmp_path))
-
+class TestCachedColumnStore:
     def test_cached_column_store_identity(self):
         db = _mixed_db()
         provenance_cache.clear()
@@ -285,76 +212,3 @@ class TestColumnStoreSpill:
             assert cached_column_store(db) is cached_column_store(db)
         finally:
             provenance_cache.clear()
-
-
-def _snapshot_fixture(seed):
-    """A provenance kernel's shard snapshot plus a mask vector.
-
-    Scans forward from ``seed`` until a random instance yields a non-empty
-    view (empty views have no witness masks to shard).
-    """
-    import random
-
-    for offset in range(50):
-        db, query = random_instance(seed + offset, max_depth=3, operators="SPJ")
-        prov = why_provenance(query, db)
-        rows = sorted(prov.rows, key=repr)
-        if rows:
-            break
-    else:  # pragma: no cover - 50 consecutive empty views
-        raise RuntimeError("no non-empty random instance found")
-    kernel = prov.kernel
-    table = WitnessTable.from_masks(
-        {row: kernel.witness_masks(row) for row in rows}
-    )
-    nbits = len(kernel.index)
-    snapshot = ShardSnapshot.from_witness_table(table, nbits)
-    rng = random.Random(seed)
-    masks = [0, (1 << nbits) - 1]
-    for _ in range(30):
-        masks.append(rng.getrandbits(max(1, nbits)))
-    return snapshot, masks
-
-
-class TestMmapSnapshot:
-    """Flat-file attach answers == in-memory answers, every backend."""
-
-    def test_write_attach_round_trip(self, tmp_path):
-        snapshot, masks = _snapshot_fixture(11)
-        path = str(tmp_path / "snap.flat")
-        snapshot.write_file(path)
-        attached = ShardSnapshot.attach_file(path)
-        assert attached.nbits == snapshot.nbits
-        assert len(attached.rows) == len(snapshot.rows)
-        serial = sharded_destroyed_indices(snapshot, masks, 1)
-        got = sharded_destroyed_indices(attached, masks, 1)
-        assert got == serial
-
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    @pytest.mark.parametrize("fp", [False, True])
-    def test_ship_mmap_bit_identical(self, backend, fp):
-        snapshot, masks = _snapshot_fixture(23)
-        serial = sharded_destroyed_indices(snapshot, masks, 1)
-        if fp and backend == "process":
-            pytest.skip("force_python implies in-process backends")
-        got = sharded_destroyed_indices(
-            snapshot,
-            masks,
-            2,
-            backend=backend,
-            chunk_size=7,
-            force_python=fp,
-            ship_mmap=True,
-        )
-        assert got == serial
-
-    def test_mmap_file_is_cached_and_cleaned_up(self):
-        import gc
-
-        snapshot, _masks = _snapshot_fixture(7)
-        path = snapshot.mmap_file()
-        assert os.path.exists(path)
-        assert snapshot.mmap_file() == path  # idempotent per snapshot
-        del snapshot
-        gc.collect()
-        assert not os.path.exists(path)

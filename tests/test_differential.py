@@ -8,12 +8,17 @@ module checks each of them against the two oracles:
 
 * the view ``Q(S)`` against ``interpret_view_rows``;
 * minimal witnesses against ``legacy_witnesses``;
-* hypothetical survival against ``interpret_view_rows(query, db.delete(T))``.
+* hypothetical survival against ``interpret_view_rows(query, db.delete(T))``,
+  for single candidates and for a vector long enough to take the
+  vectorized kernel.
 
 Every check runs before and after one ``apply_delta`` of mixed deletions
 and inserts, so the patched state (store, witness kernel, warm oracle) is
-held to the same oracles as a cold build.  The module runs on both numpy
-legs; the columnar checks run where numpy imports.
+held to the same oracles as a cold build; the long vector runs on both
+sides of the write, so a patched kernel never answers from matrices built
+before it.  The module runs on both numpy legs; the columnar checks run
+where numpy imports, and the long vector takes the survival index where
+scipy does not.
 
 It also guards the layout: no module under ``src/repro`` other than
 ``repro/oracle.py`` may import the oracles, and without numpy the column
@@ -36,6 +41,7 @@ from repro.columnar import HAVE_NUMPY, ColumnStore
 from repro.errors import ReproError
 from repro.oracle import interpret_view_rows, legacy_witnesses
 from repro.provenance import SourceIndex, provenance_cache
+from repro.provenance.bitset import VECTORIZED_MIN_BATCH
 from repro.service import (
     EvaluateRequest,
     HypotheticalRequest,
@@ -101,6 +107,23 @@ def _check_engine(engine, text, query, db, candidates):
         assert hypo.surviving == len(after)
 
 
+def _check_long_vector(engine, text, query, db, candidates):
+    """A vector past the vectorized threshold, on the engine's warm kernel."""
+    prov = engine.oracle("db", text).provenance
+    if prov is None:
+        return  # provenance refused: the plan fallback has no batch kernel
+    kernel = prov.kernel
+    vector = [
+        candidates[i % len(candidates)] for i in range(VECTORIZED_MIN_BATCH + 2)
+    ]
+    rows = interpret_view_rows(query, db)
+    expected = {
+        d: rows - interpret_view_rows(query, db.delete(d)) for d in candidates
+    }
+    encoded = [kernel.encode_deletions_auto(d) for d in vector]
+    assert kernel.batch_destroyed(encoded) == [expected[d] for d in vector]
+
+
 def _candidates(db, rng):
     """A few deletion sets over the database's current source tuples."""
     sources = sorted(db.all_source_tuples(), key=repr)
@@ -136,7 +159,9 @@ def _run_differential(db, query, level, rng):
             _check_tuple_executor(query, current, level, rows, witnesses)
             if store is not None:
                 _check_columnar(query, current, level, rows, witnesses, store)
-            _check_engine(engine, text, query, current, _candidates(current, rng))
+            candidates = _candidates(current, rng)
+            _check_engine(engine, text, query, current, candidates)
+            _check_long_vector(engine, text, query, current, candidates)
             if step == 1:
                 break
             deletions, inserts = _mixed_delta(current, rng)

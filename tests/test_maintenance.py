@@ -6,30 +6,23 @@ decoded witnesses, same hypothetical-deletion answers — on the numpy
 columnar path and on the tuple executor that is the no-numpy path (checked
 against :mod:`repro.oracle`), across random interleavings of deletes,
 inserts, and queries (Hypothesis), including source ids past 512 and
-mixed-type columns.  Version-stamped snapshots must
-refuse (or transparently replace) stale mmap attachments on the thread and
-spawn pool backends, and the serving engine's warm per-(db, query) oracles
+mixed-type columns.  The serving engine's warm per-(db, query) oracles
 must be patched/reused — never silently wrong — under real writes and
 re-registration.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import EvaluationError, StaleSnapshotError
+from repro.errors import EvaluationError
 from repro.algebra.parser import parse_query
 from repro.algebra.relation import Database, Relation
 from repro.algebra.stats import MaintainedStatistics, TableStatistics, stats_version
 from repro.columnar.store import ColumnStore
 from repro.deletion.hypothetical import HypotheticalDeletions
-from repro.parallel import executor
-from repro.parallel.executor import _attach_cached, _run_chunk_mmap, sharded_destroyed_indices
-from repro.parallel.shards import ShardSnapshot
 from repro.provenance.bitset import bitset_why_provenance
 from repro.provenance.cache import ProvenanceCache, cached_plan, provenance_cache
 from repro.provenance.interning import SourceIndex
@@ -473,117 +466,6 @@ class TestInterleavingProperties:
 
 
 # ----------------------------------------------------------------------
-# Snapshot staleness (satellite 3)
-# ----------------------------------------------------------------------
-
-def _stamped_snapshot(db, query, epoch, name="db"):
-    prov = bitset_why_provenance(query, db)
-    snap = prov._shard_snapshot()
-    snap.version = DatabaseVersion(name, epoch)
-    return prov, snap
-
-
-class TestSnapshotStaleness:
-    def test_attach_refuses_stale_file(self, tmp_path):
-        _, snap = _stamped_snapshot(_base_db(), JOIN_QUERY, epoch=1)
-        path = str(tmp_path / "snap.flat")
-        snap.write_file(path)
-        attached = ShardSnapshot.attach_file(
-            path, expect_version=DatabaseVersion("db", 1)
-        )
-        assert attached.version == DatabaseVersion("db", 1)
-        with pytest.raises(StaleSnapshotError):
-            ShardSnapshot.attach_file(
-                path, expect_version=DatabaseVersion("db", 2)
-            )
-
-    def test_attach_unversioned_file_vs_expectation(self, tmp_path):
-        prov = bitset_why_provenance(JOIN_QUERY, _base_db())
-        snap = prov._shard_snapshot()
-        assert snap.version is None
-        path = str(tmp_path / "plain.flat")
-        snap.write_file(path)
-        # No expectation: fine.  An expectation against an unstamped file
-        # must refuse (absent counts as mismatched).
-        assert ShardSnapshot.attach_file(path).version is None
-        with pytest.raises(StaleSnapshotError):
-            ShardSnapshot.attach_file(
-                path, expect_version=DatabaseVersion("db", 1)
-            )
-
-    def test_attach_cached_transparently_reattaches(self, tmp_path):
-        db = _base_db()
-        _, snap1 = _stamped_snapshot(db, JOIN_QUERY, epoch=1)
-        path = str(tmp_path / "snap.flat")
-        snap1.write_file(path)
-        executor._ATTACHED.clear()
-        first = _attach_cached(path, DatabaseVersion("db", 1))
-        assert first.version == DatabaseVersion("db", 1)
-        # The database advances; the file is rewritten in place.
-        vdb = VersionedDatabase(db, name="db")
-        vdb.apply_delta(deletions=[("R", (1, 2))])
-        _, snap2 = _stamped_snapshot(vdb.db, JOIN_QUERY, epoch=2)
-        snap2.write_file(path)
-        second = _attach_cached(path, DatabaseVersion("db", 2))
-        assert second is not first
-        assert second.version == DatabaseVersion("db", 2)
-        # Asking for the superseded epoch now refuses.
-        with pytest.raises(StaleSnapshotError):
-            _attach_cached(path, DatabaseVersion("db", 1))
-        executor._ATTACHED.clear()
-
-    def test_thread_backend_stale_mmap_refused(self):
-        db = _base_db()
-        prov, snap = _stamped_snapshot(db, JOIN_QUERY, epoch=1)
-        masks = [prov.encode_deletions_auto(frozenset({("R", (1, 2))})), 0, 3]
-        expected = sharded_destroyed_indices(snap, masks, workers=1)
-        executor._ATTACHED.clear()
-        got = sharded_destroyed_indices(
-            snap, masks, workers=2, backend="thread", ship_mmap=True
-        )
-        assert got == expected
-        # Overwrite the snapshot's own mmap file with a later epoch: the
-        # next sharded call's tasks still expect epoch 1 and must refuse.
-        path = snap.mmap_file()
-        _, newer = _stamped_snapshot(db, JOIN_QUERY, epoch=2)
-        newer.write_file(path)
-        executor._ATTACHED.clear()
-        with pytest.raises(StaleSnapshotError):
-            sharded_destroyed_indices(
-                snap, masks, workers=2, backend="thread", ship_mmap=True
-            )
-        executor._ATTACHED.clear()
-
-    def test_spawn_backend_stale_mmap_refused(self, tmp_path):
-        db = _base_db()
-        prov, snap = _stamped_snapshot(db, JOIN_QUERY, epoch=1)
-        path = str(tmp_path / "snap.flat")
-        snap.write_file(path)
-        masks = [prov.encode_deletions_auto(frozenset({("R", (1, 2))})), 0]
-        ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(1) as pool:
-            ok = pool.map(_run_chunk_mmap, [(path, masks, snap.version)])
-            executor._ATTACHED.clear()
-            expected = [
-                ShardSnapshot.attach_file(path).destroyed_indices_chunk(
-                    masks, 0, len(masks)
-                )
-            ]
-            assert ok == expected
-            with pytest.raises(StaleSnapshotError):
-                pool.map(
-                    _run_chunk_mmap,
-                    [(path, masks, DatabaseVersion("db", 9))],
-                )
-        executor._ATTACHED.clear()
-
-    def test_pickle_round_trip_keeps_version(self):
-        _, snap = _stamped_snapshot(_base_db(), JOIN_QUERY, epoch=3)
-        clone = pickle.loads(pickle.dumps(snap))
-        assert clone.version == DatabaseVersion("db", 3)
-
-
-# ----------------------------------------------------------------------
 # ColumnStore append/tombstone form
 # ----------------------------------------------------------------------
 
@@ -600,7 +482,7 @@ class TestColumnStoreDelta:
         patched = store.apply_delta(
             new_db, {"R": [(1, 2)]}, {"S": [(2, 99), (6, 1)]}
         )
-        assert patched.matches(new_db) and not patched.spill_save("/dev/null")
+        assert patched.matches(new_db)
         for name in new_db:
             rc = patched.relation_columns(name)
             assert frozenset(rc.rows) == new_db[name].rows

@@ -28,8 +28,6 @@ from repro.deletion import (
 )
 from repro.errors import InfeasibleError
 from repro.oracle import interpret_view_rows, legacy_witnesses
-from repro.parallel import sharded_destroyed_indices
-from repro.parallel.shards import HAVE_NUMPY
 from repro.provenance import (
     Location,
     SourceIndex,
@@ -38,7 +36,8 @@ from repro.provenance import (
     where_provenance,
     why_provenance,
 )
-from repro.provenance.bitset import SHARD_MIN_BATCH
+from repro.provenance import witness_table
+from repro.provenance.bitset import VECTORIZED_MIN_BATCH
 from repro.workloads import random_instance
 
 seeds = st.integers(min_value=0, max_value=100_000)
@@ -157,7 +156,7 @@ def _padded_kernel(query, db, pad):
 
 
 class TestOneSurvivalKernel:
-    """Every survival answer — serial kernel, both chunk kernels, either
+    """Every survival answer — survival index, vectorized kernel, either
     deletion form — equals re-interpreting the query over ``db.delete(T)``.
 
     The oracle is :func:`interpret_view_rows`, which shares no code with
@@ -194,43 +193,35 @@ class TestOneSurvivalKernel:
     @settings(max_examples=25, deadline=None)
     @given(seed=seeds, pad=st.sampled_from([0, 2049]))
     def test_chunk_kernels_match_reinterpretation(self, force_python, seed, pad):
-        """Both chunk kernels, below and above SHARD_MIN_BATCH, with
-        vectors mixing bit-id tuples and int masks."""
-        if not force_python and not HAVE_NUMPY:
-            pytest.skip("the numpy chunk kernel needs numpy and scipy")
+        """Vectors just below and above VECTORIZED_MIN_BATCH, mixing bit-id
+        tuples and int masks; ``force_python`` takes scipy away, so long
+        vectors fall back to the survival index."""
+        if not force_python and witness_table.scipy_sparse() is None:
+            pytest.skip("the vectorized kernel needs numpy and scipy")
         db, query = random_instance(seed, max_depth=3)
-        kernel = _padded_kernel(query, db, pad)
-        baseline = frozenset(kernel.relation().rows)
         rng = random.Random(seed + 5)
         distinct = _random_deletion_sets(db, rng, count=6)
+        baseline = interpret_view_rows(query, db)
         destroyed = [
-            baseline - interpret_view_rows(query, db.delete(d))
-            for d in distinct
+            baseline - interpret_view_rows(query, db.delete(d)) for d in distinct
         ]
-        snapshot = kernel._shard_snapshot()
-        for length in (SHARD_MIN_BATCH - 1, SHARD_MIN_BATCH + 5):
-            picks = [i % len(distinct) for i in range(length)]
-            vector = [
-                kernel.encode_deletions_auto(distinct[k])
-                if i % 2
-                else kernel.index.encode(distinct[k])
-                for i, k in enumerate(picks)
-            ]
-            expected = [destroyed[k] for k in picks]
-            for workers, chunk_size in ((1, None), (3, 17)):
-                answers = sharded_destroyed_indices(
-                    snapshot,
-                    vector,
-                    workers,
-                    backend="thread",
-                    chunk_size=chunk_size,
-                    force_python=force_python,
-                )
-                assert [
-                    frozenset(snapshot.rows[i] for i in ans) for ans in answers
-                ] == expected
-            assert kernel.batch_destroyed(vector) == expected
-            assert kernel.batch_destroyed(vector, workers=2) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            if force_python:
+                patch.setattr(witness_table, "_SPARSE", False)
+            kernel = _padded_kernel(query, db, pad)
+            for length in (VECTORIZED_MIN_BATCH - 1, VECTORIZED_MIN_BATCH + 5):
+                picks = [i % len(distinct) for i in range(length)]
+                vector = [
+                    kernel.encode_deletions_auto(distinct[k])
+                    if i % 2
+                    else kernel.index.encode(distinct[k])
+                    for i, k in enumerate(picks)
+                ]
+                assert kernel.batch_destroyed(vector) == [
+                    destroyed[k] for k in picks
+                ]
+            vectorized = kernel._vector_survival() is not None
+        assert vectorized is not force_python
 
 
 class TestCompiledPlanEquivalence:

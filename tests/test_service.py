@@ -496,8 +496,6 @@ class TestServeCli:
                         str(port_file),
                         "--max-requests",
                         "2",
-                        "--workers",
-                        "2",
                     ]
                 )
             )
@@ -554,8 +552,8 @@ class TestServeCli:
             ["serve", "DB.json", "--port", "0", "--max-requests", "3"]
         )
         assert args.command == "serve" and args.max_requests == 3
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "DB.json", "--workers", "0"])
+        with pytest.raises(SystemExit):  # the retired --workers flag
+            build_parser().parse_args(["serve", "DB.json", "--workers", "2"])
 
 
 class TestScaledServingEquivalence:
@@ -565,7 +563,7 @@ class TestScaledServingEquivalence:
         assert parse_query(text) == query
         candidates = [frozenset({s}) for s in db.all_source_tuples()]
         oracle = HypotheticalDeletions(query, db)
-        with ServiceEngine({"big": db}, workers=2) as engine:
+        with ServiceEngine({"big": db}) as engine:
             with ServiceClient(engine, max_delay_s=0.01) as client:
                 futures = [
                     client.submit(HypotheticalRequest("big", text, c))

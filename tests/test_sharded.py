@@ -1,13 +1,20 @@
-"""Sharded mask-vector execution: bit-identical to the serial path.
+"""The size-selected survival path: one answer whichever kernel runs.
 
-The contract of :mod:`repro.parallel` is exact equivalence: for every
-worker count, backend, chunking, and chunk kernel (vectorized or pure
-Python), the sharded batch answers equal the serial ones — including empty
-vectors, empty masks, vectors smaller than the worker count, and masks
-with bits the snapshot has never seen.  These tests pin that contract,
-the shard planner's invariants, the workers plumbing through the solver
-stack and CLI, and the cache-counter / provenance-fallback satellite
-fixes.
+:class:`~repro.provenance.bitset.BitsetProvenance` answers a batch vector
+on :class:`~repro.provenance.witness_table.SurvivalIndex` when it is
+shorter than :data:`~repro.provenance.bitset.VECTORIZED_MIN_BATCH`, and on
+the vectorized kernel (:class:`~repro.provenance.witness_table.
+VectorSurvival`, numpy + scipy) otherwise.  These tests pin that the
+choice never changes an answer: on both sides of the threshold, for int
+masks and id tuples, empty views and vectors, ids the kernel has never
+seen, and with scipy taken away (the fallback to the survival index).
+Every case is checked against the survival index one candidate at a time
+and against :mod:`repro.oracle`.  The module runs on both numpy legs; the
+cases that need the vectorized kernel skip without it.
+
+It also pins that the retired ``workers`` knob is gone from every API
+and the CLI, plus two unrelated fixes that live here: the cache counter
+reset and the oracle's fallback when provenance is refused.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import random
 import pytest
 
 from repro.errors import ExponentialGuardError, ReproError
+from repro.algebra.parser import parse_query
 from repro.algebra.relation import Database, Relation
 from repro.deletion import (
     HypotheticalDeletions,
@@ -26,15 +34,9 @@ from repro.deletion import (
     minimum_source_deletion,
 )
 from repro.deletion import hypothetical as hypothetical_module
-from repro.parallel import (
-    ShardSnapshot,
-    plan_shards,
-    resolve_backend,
-    sharded_destroyed_indices,
-)
-from repro.parallel import shards as shards_module
-from repro.provenance import provenance_cache
-from repro.provenance.bitset import SHARD_MIN_BATCH
+from repro.oracle import interpret_view_rows
+from repro.provenance import provenance_cache, witness_table
+from repro.provenance.bitset import VECTORIZED_MIN_BATCH
 from repro.provenance.cache import ProvenanceCache
 from repro.provenance.why import why_provenance
 from repro.workloads import (
@@ -45,24 +47,11 @@ from repro.workloads import (
     star_workload,
 )
 
+HAVE_VECTORIZED = witness_table.scipy_sparse() is not None
 
-def _mask_vector(kernel, db, target, extra: int, seed: int):
-    """Single-tuple masks plus random universe-subset masks.
-
-    ``extra`` is chosen so vectors clear ``SHARD_MIN_BATCH`` — below it
-    the kernel's batch methods answer serially by design.
-    """
-    rng = random.Random(seed)
-    sources = db.all_source_tuples()
-    universe = sorted(
-        kernel.index.decode_mask(kernel.universe_mask(tuple(target))), key=repr
-    )
-    deletion_sets = [frozenset({s}) for s in sources]
-    for _ in range(extra):
-        size = rng.randint(1, min(4, len(universe)))
-        deletion_sets.append(frozenset(rng.sample(universe, size)))
-    return [kernel.index.encode(d) for d in deletion_sets]
-
+requires_vectorized = pytest.mark.skipif(
+    not HAVE_VECTORIZED, reason="the vectorized kernel needs numpy and scipy"
+)
 
 WORKLOADS = {
     "spu": lambda: spu_workload(40, seed=3),
@@ -72,126 +61,187 @@ WORKLOADS = {
 }
 
 
-class TestPlanShards:
-    def test_balanced_partition_covers_vector(self):
-        for total in (0, 1, 2, 5, 17, 100):
-            for workers in (1, 2, 3, 8, 200):
-                shards = plan_shards(total, workers)
-                flat = [i for a, b in shards for i in range(a, b)]
-                assert flat == list(range(total))
-                assert len(shards) <= max(workers, 1)
-                if shards:
-                    sizes = [b - a for a, b in shards]
-                    assert max(sizes) - min(sizes) <= 1
-
-    def test_explicit_chunk_size(self):
-        assert plan_shards(10, 4, chunk_size=4) == ((0, 4), (4, 8), (8, 10))
-        assert plan_shards(3, 8, chunk_size=10) == ((0, 3),)
-
-    def test_deterministic(self):
-        assert plan_shards(1000, 7) == plan_shards(1000, 7)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            plan_shards(-1, 2)
-        with pytest.raises(ValueError):
-            plan_shards(5, 0)
-        with pytest.raises(ValueError):
-            plan_shards(5, 2, chunk_size=0)
+@pytest.fixture
+def no_scipy(monkeypatch):
+    """Make the vectorized kernel unavailable, as on a host without scipy."""
+    monkeypatch.setattr(witness_table, "_SPARSE", False)
 
 
-class TestResolveBackend:
-    def test_explicit_backends_pass_through(self):
-        for backend in ("serial", "thread", "process"):
-            assert resolve_backend(backend, 4, 10_000) == backend
+def _deletion_sets(kernel, db, target, extra: int, seed: int):
+    """Single-tuple deletions plus random subsets of the target's witness
+    universe: the population the exact solvers draw candidates from."""
+    rng = random.Random(seed)
+    universe = sorted(
+        kernel.index.decode_mask(kernel.universe_mask(tuple(target))), key=repr
+    )
+    sets = [frozenset({s}) for s in db.all_source_tuples()]
+    for _ in range(extra):
+        size = rng.randint(1, min(4, len(universe)))
+        sets.append(frozenset(rng.sample(universe, size)))
+    return sets
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("gpu", 4, 100)
 
-    def test_auto_serial_for_one_worker(self):
-        assert resolve_backend("auto", 1, 10_000) == "serial"
+class _Oracle:
+    """Destroyed rows by re-interpreting the query, memoized per set."""
+
+    def __init__(self, query, db):
+        self.query, self.db = query, db
+        self.baseline = interpret_view_rows(query, db)
+        self._memo = {}
+
+    def destroyed(self, deletions):
+        if deletions not in self._memo:
+            after = interpret_view_rows(self.query, self.db.delete(deletions))
+            self._memo[deletions] = self.baseline - after
+        return self._memo[deletions]
+
+
+def _one_at_a_time(kernel, vector):
+    """The survival index's answers: one-candidate vectors never vectorize."""
+    return [kernel.batch_destroyed([c])[0] for c in vector]
+
+
+def _check_all_ways(kernel, oracle, sets, vector):
+    """``vector`` (the encoded ``sets``) answers like the survival index
+    and the oracle, through all three batch methods."""
+    expected = [oracle.destroyed(d) for d in sets]
+    got = kernel.batch_destroyed(vector)
+    assert got == _one_at_a_time(kernel, vector) == expected
+    baseline = frozenset(kernel.relation().rows)
+    assert kernel.batch_surviving_rows(vector) == [baseline - d for d in expected]
+    for target in sorted(baseline, key=repr)[:2]:
+        assert kernel.batch_side_effects_mask(target, vector) == [
+            d - {target} for d in expected
+        ]
+
+
+def _vectorized(kernel) -> bool:
+    """Whether the kernel built its vectorized kernel (a long vector ran)."""
+    return bool(kernel._vector)
+
+
+class TestSizeSelection:
+    """The threshold: 127 stays on the survival index, 128 and up do not."""
+
+    @pytest.mark.parametrize("length", [127, 128, 129])
+    @pytest.mark.parametrize("workload", ["sj", "chain"])
+    def test_vectors_around_the_threshold(self, workload, length):
+        assert VECTORIZED_MIN_BATCH == 128
+        db, query, target = WORKLOADS[workload]()
+        kernel = why_provenance(query, db).kernel
+        sets = _deletion_sets(kernel, db, target, extra=length, seed=length)
+        sets = (sets * 2)[:length]
+        vector = [kernel.encode_deletions_auto(d) for d in sets]
+        _check_all_ways(kernel, _Oracle(query, db), sets, vector)
+        assert _vectorized(kernel) == (
+            HAVE_VECTORIZED and length >= VECTORIZED_MIN_BATCH
+        )
+
+    @requires_vectorized
+    def test_long_random_vector(self):
+        db, query, target = sj_workload(30, seed=21)
+        kernel = why_provenance(query, db).kernel
+        sets = _deletion_sets(kernel, db, target, extra=3000, seed=21)
+        vector = [kernel.encode_deletions_auto(d) for d in sets]
+        _check_all_ways(kernel, _Oracle(query, db), sets, vector)
+        assert _vectorized(kernel)
+
+    def test_no_scipy_long_vectors_use_the_survival_index(self, no_scipy):
+        db, query, target = sj_workload(20, seed=22)
+        kernel = why_provenance(query, db).kernel
+        sets = _deletion_sets(kernel, db, target, extra=200, seed=22)
+        vector = [kernel.encode_deletions_auto(d) for d in sets]
+        _check_all_ways(kernel, _Oracle(query, db), sets, vector)
+        assert kernel._vector_survival() is None
 
 
 class TestShardedEquivalence:
-    """batch answers are bit-identical to serial for every configuration."""
+    """Long-vector answers equal the survival index and the oracle."""
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_batch_destroyed_matches_serial(self, workload, workers):
+    @pytest.mark.parametrize("copies", [1, 2, 4])
+    def test_batch_destroyed_matches_serial(self, workload, copies):
+        """``copies`` repeats the vector, so identical answers are interned."""
         db, query, target = WORKLOADS[workload]()
         kernel = why_provenance(query, db).kernel
-        masks = _mask_vector(kernel, db, target, extra=SHARD_MIN_BATCH + 40, seed=workers)
-        assert kernel.batch_destroyed(masks, workers=workers) == (
-            kernel.batch_destroyed(masks)
-        )
+        sets = _deletion_sets(
+            kernel, db, target, extra=VECTORIZED_MIN_BATCH, seed=copies
+        ) * copies
+        masks = [kernel.index.encode(d) for d in sets]
+        oracle = _Oracle(query, db)
+        got = kernel.batch_destroyed(masks)
+        assert got == _one_at_a_time(kernel, masks)
+        assert got == [oracle.destroyed(d) for d in sets]
+        if HAVE_VECTORIZED and copies > 1:
+            # Repeated candidates share one answer object.
+            assert got[0] is got[len(got) // copies]
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_batch_side_effects_and_survivors_match_serial(self, workload):
         db, query, target = WORKLOADS[workload]()
         kernel = why_provenance(query, db).kernel
-        masks = _mask_vector(kernel, db, target, extra=SHARD_MIN_BATCH + 40, seed=11)
+        sets = _deletion_sets(
+            kernel, db, target, extra=VECTORIZED_MIN_BATCH + 40, seed=11
+        )
+        masks = [kernel.index.encode(d) for d in sets]
         target = tuple(target)
-        serial_effects = kernel.batch_side_effects_mask(target, masks)
-        serial_survivors = kernel.batch_surviving_rows(masks)
-        for workers in (2, 4):
-            assert (
-                kernel.batch_side_effects_mask(target, masks, workers=workers)
-                == serial_effects
-            )
-            assert (
-                kernel.batch_surviving_rows(masks, workers=workers)
-                == serial_survivors
-            )
+        effects = kernel.batch_side_effects_mask(target, masks)
+        survivors = kernel.batch_surviving_rows(masks)
+        for mask, effect, survivor in zip(masks, effects, survivors):
+            assert kernel.batch_side_effects_mask(target, [mask]) == [effect]
+            assert kernel.batch_surviving_rows([mask]) == [survivor]
+        oracle = _Oracle(query, db)
+        assert survivors == [oracle.baseline - oracle.destroyed(d) for d in sets]
 
-    def test_random_chunk_boundaries(self):
+    @requires_vectorized
+    def test_random_chunk_boundaries(self, monkeypatch):
+        """Answers do not depend on how the kernel chunks a long vector."""
         db, query, target = sj_workload(20, seed=9)
         kernel = why_provenance(query, db).kernel
-        masks = _mask_vector(kernel, db, target, extra=40, seed=9)
-        snapshot = kernel._shard_snapshot()
-        serial = sharded_destroyed_indices(snapshot, masks, 1)
+        sets = _deletion_sets(kernel, db, target, extra=200, seed=9)
+        masks = [kernel.index.encode(d) for d in sets]
+        expected = _one_at_a_time(kernel, masks)
         rng = random.Random(7)
         for _ in range(10):
-            chunk_size = rng.randint(1, len(masks) + 3)
-            workers = rng.randint(1, 5)
-            assert (
-                sharded_destroyed_indices(
-                    snapshot, masks, workers, chunk_size=chunk_size
-                )
-                == serial
+            monkeypatch.setattr(
+                witness_table, "_VECTOR_CHUNK", rng.randint(1, len(masks) + 3)
             )
+            assert kernel.batch_destroyed(masks) == expected
 
     def test_empty_vector_empty_mask_and_small_vectors(self):
         db, query, target = spu_workload(12, seed=2)
         kernel = why_provenance(query, db).kernel
-        assert kernel.batch_destroyed([], workers=4) == []
-        assert kernel.batch_surviving_rows([], workers=4) == []
+        assert kernel.batch_destroyed([]) == []
+        assert kernel.batch_surviving_rows([]) == []
         # The empty mask destroys nothing; everything survives.
-        assert kernel.batch_destroyed([0], workers=4) == [frozenset()]
-        (survivors,) = kernel.batch_surviving_rows([0], workers=4)
+        assert kernel.batch_destroyed([0]) == [frozenset()]
+        (survivors,) = kernel.batch_surviving_rows([0])
         assert survivors == frozenset(kernel.relation().rows)
-        # Vectors smaller than the worker count.
-        masks = _mask_vector(kernel, db, target, extra=0, seed=1)[:3]
-        assert kernel.batch_destroyed(masks, workers=8) == (
-            kernel.batch_destroyed(masks)
-        )
-        # Empty masks inside a vector long enough to take the sharded path.
-        padded = _mask_vector(kernel, db, target, extra=SHARD_MIN_BATCH, seed=2)
+        # Empty masks and empty id tuples inside a long vector.
+        sets = _deletion_sets(kernel, db, target, extra=VECTORIZED_MIN_BATCH, seed=2)
+        padded = [kernel.index.encode(d) for d in sets]
         padded[::7] = [0] * len(padded[::7])
-        assert len(padded) >= SHARD_MIN_BATCH
-        assert kernel.batch_destroyed(padded, workers=4) == (
-            kernel.batch_destroyed(padded)
-        )
+        padded[3::7] = [()] * len(padded[3::7])
+        assert len(padded) >= VECTORIZED_MIN_BATCH
+        answers = kernel.batch_destroyed(padded)
+        assert answers == _one_at_a_time(kernel, padded)
+        assert answers[0] == answers[3] == frozenset()
 
     def test_unknown_high_bits_destroy_nothing(self):
+        """Ids the kernel has never seen are in no witness."""
         db, query, target = spu_workload(10, seed=8)
         kernel = why_provenance(query, db).kernel
-        high = 1 << (len(kernel.index) + 64)
-        masks = [high, high | kernel.index.encode(
-            frozenset({db.all_source_tuples()[0]})
-        )] * SHARD_MIN_BATCH
-        assert kernel.batch_destroyed(masks, workers=2) == (
-            kernel.batch_destroyed(masks)
+        known = kernel.encode_deletions_auto({db.all_source_tuples()[0]})
+        high = len(kernel.index) + 64
+        vector = [(high,), (*known, high), (high, high + 1)] * VECTORIZED_MIN_BATCH
+        answers = kernel.batch_destroyed(vector)
+        assert answers == _one_at_a_time(kernel, vector)
+        assert answers[0] == answers[2] == frozenset()
+        assert answers[1] == kernel.batch_destroyed([known])[0]
+        first = kernel.index.encode({db.all_source_tuples()[0]})
+        masks = [1 << high, (1 << high) | first]
+        assert kernel.batch_destroyed(masks * VECTORIZED_MIN_BATCH) == (
+            [answers[0], answers[1]] * VECTORIZED_MIN_BATCH
         )
 
     def test_bit_id_vectors_match_int_masks(self):
@@ -201,59 +251,32 @@ class TestShardedEquivalence:
         sources = db.all_source_tuples()
         deletion_sets = [
             frozenset(rng.sample(sources, rng.randint(1, 3)))
-            for _ in range(SHARD_MIN_BATCH + 20)
+            for _ in range(VECTORIZED_MIN_BATCH + 20)
         ]
         masks = [kernel.index.encode(d) for d in deletion_sets]
-        flat = [kernel.index.encode_ids(d) for d in deletion_sets]
-        for workers in (1, 2, 4):
-            assert kernel.batch_destroyed(flat, workers=workers) == (
-                kernel.batch_destroyed(masks)
-            )
-
-    def test_thread_and_process_backends_match(self):
-        db, query, target = sj_workload(15, seed=10)
-        kernel = why_provenance(query, db).kernel
-        masks = _mask_vector(kernel, db, target, extra=20, seed=10)
-        snapshot = kernel._shard_snapshot()
-        serial = sharded_destroyed_indices(snapshot, masks, 1)
-        assert (
-            sharded_destroyed_indices(snapshot, masks, 2, backend="thread")
-            == serial
-        )
-        assert (
-            sharded_destroyed_indices(snapshot, masks, 2, backend="process")
-            == serial
-        )
+        flat = [kernel.encode_deletions_auto(d) for d in deletion_sets]
+        assert kernel.batch_destroyed(flat) == kernel.batch_destroyed(masks)
+        assert kernel.batch_destroyed(flat) == _one_at_a_time(kernel, masks)
 
     def test_python_fallback_kernel_matches(self, monkeypatch):
+        """Without scipy a long vector runs on the survival index."""
         db, query, target = chain_workload(3, 8, seed=13)
-        kernel = why_provenance(query, db).kernel
-        masks = _mask_vector(kernel, db, target, extra=30, seed=13)
-        snapshot = kernel._shard_snapshot()
-        expected = sharded_destroyed_indices(snapshot, masks, 2)
-        assert (
-            sharded_destroyed_indices(snapshot, masks, 2, force_python=True)
-            == expected
-        )
-        # And with numpy reported missing entirely.
-        monkeypatch.setattr(shards_module, "HAVE_NUMPY", False)
-        fresh = ShardSnapshot.from_witness_table(
-            kernel._table, len(kernel.index)
-        )
-        assert sharded_destroyed_indices(fresh, masks, 2) == expected
-
-    def test_snapshot_pickle_round_trip(self):
-        import pickle
-
-        db, query, target = star_workload(3, 4, seed=14)
-        kernel = why_provenance(query, db).kernel
-        masks = _mask_vector(kernel, db, target, extra=15, seed=14)
-        snapshot = kernel._shard_snapshot()
-        clone = pickle.loads(pickle.dumps(snapshot))
-        assert clone.rows == snapshot.rows
-        assert clone.destroyed_indices_chunk(masks, 0, len(masks)) == (
-            snapshot.destroyed_indices_chunk(masks, 0, len(masks))
-        )
+        sets = None
+        answers = {}
+        for scipy in (True, False):
+            if not scipy:
+                monkeypatch.setattr(witness_table, "_SPARSE", False)
+            kernel = why_provenance(query, db).kernel
+            if sets is None:
+                sets = _deletion_sets(
+                    kernel, db, target, extra=VECTORIZED_MIN_BATCH, seed=13
+                )
+            answers[scipy] = kernel.batch_destroyed(
+                [kernel.encode_deletions_auto(d) for d in sets]
+            )
+            assert _vectorized(kernel) == (scipy and HAVE_VECTORIZED)
+        oracle = _Oracle(query, db)
+        assert answers[True] == answers[False] == [oracle.destroyed(d) for d in sets]
 
     def test_random_instances_property(self):
         rng = random.Random(42)
@@ -265,20 +288,16 @@ class TestShardedEquivalence:
             except ReproError:
                 continue
             kernel = prov.kernel
-            if kernel is None or not len(kernel):
-                continue
             sources = db.all_source_tuples()
-            if not sources:
+            if not len(kernel) or not sources:
                 continue
-            masks = [
-                kernel.index.encode(
-                    frozenset(rng.sample(sources, rng.randint(1, min(3, len(sources)))))
-                )
-                for _ in range(25)
+            sets = [
+                frozenset(rng.sample(sources, rng.randint(1, min(3, len(sources)))))
+                for _ in range(VECTORIZED_MIN_BATCH + 3)
             ]
-            serial = kernel.batch_destroyed(masks)
-            for workers in (2, 4):
-                assert kernel.batch_destroyed(masks, workers=workers) == serial
+            masks = [kernel.index.encode(d) for d in sets]
+            oracle = _Oracle(query, db)
+            assert kernel.batch_destroyed(masks) == [oracle.destroyed(d) for d in sets]
             checked += 1
             if checked >= 12:
                 break
@@ -286,38 +305,47 @@ class TestShardedEquivalence:
 
 
 class TestWorkersPlumbing:
-    """workers= flows through the oracle, solvers, dispatchers, and CLI."""
+    """The ``workers`` knob is gone: passing it is an error everywhere, and
+    the solvers' plans do not depend on which survival kernel ran."""
 
     def test_oracle_default_and_override(self):
         db, query, target = sj_workload(15, seed=1)
-        baseline = HypotheticalDeletions(query, db)
-        sharded = HypotheticalDeletions(query, db, workers=3)
-        rng = random.Random(1)
-        sources = db.all_source_tuples()
-        deletion_sets = [
-            frozenset(rng.sample(sources, rng.randint(1, 3))) for _ in range(30)
-        ]
-        expected = baseline.batch_view_after(deletion_sets)
-        assert sharded.batch_view_after(deletion_sets) == expected
-        assert baseline.batch_view_after(deletion_sets, workers=4) == expected
-        expected_se = baseline.batch_side_effects(target, deletion_sets)
-        assert sharded.batch_side_effects(target, deletion_sets) == expected_se
+        with pytest.raises(TypeError):
+            HypotheticalDeletions(query, db, workers=3)
+        oracle = HypotheticalDeletions(query, db)
+        deletion_sets = [frozenset({s}) for s in db.all_source_tuples()]
+        with pytest.raises(TypeError):
+            oracle.batch_view_after(deletion_sets, workers=4)
+        with pytest.raises(TypeError):
+            oracle.batch_side_effects(target, deletion_sets, workers=4)
+        with pytest.raises(TypeError):
+            oracle.provenance.kernel.batch_destroyed([], workers=2)
 
     @pytest.mark.parametrize("workload", ["sj", "star"])
-    def test_dispatchers_identical_plans(self, workload):
+    def test_dispatchers_identical_plans(self, workload, monkeypatch):
         db, query, target = WORKLOADS[workload]()
-        assert delete_view_tuple(query, db, target) == delete_view_tuple(
-            query, db, target, workers=3
+        for solve in (delete_view_tuple, minimum_source_deletion):
+            with pytest.raises(TypeError):
+                solve(query, db, target, workers=3)
+        plans = delete_view_tuple(query, db, target), minimum_source_deletion(
+            query, db, target
         )
-        assert minimum_source_deletion(query, db, target) == (
-            minimum_source_deletion(query, db, target, workers=3)
+        provenance_cache.clear()
+        monkeypatch.setattr(witness_table, "_SPARSE", False)
+        assert plans == (
+            delete_view_tuple(query, db, target),
+            minimum_source_deletion(query, db, target),
         )
 
-    def test_enumerate_identical_plans(self):
+    def test_enumerate_identical_plans(self, monkeypatch):
+        """A full enumeration is one long vector: both kernels agree."""
         db, query, target = star_workload(3, 4, seed=6)
-        assert enumerate_deletion_plans(query, db, target) == (
+        with pytest.raises(TypeError):
             enumerate_deletion_plans(query, db, target, workers=2)
-        )
+        plans = enumerate_deletion_plans(query, db, target)
+        provenance_cache.clear()
+        monkeypatch.setattr(witness_table, "_SPARSE", False)
+        assert enumerate_deletion_plans(query, db, target) == plans
 
     def test_cli_workers_flag(self, tmp_path, capsys):
         from repro.cli import main
@@ -339,18 +367,15 @@ class TestWorkersPlumbing:
         db_path = tmp_path / "db.json"
         db_path.write_text(json.dumps(payload))
         query = "PROJECT[user, file](UserGroup JOIN GroupFile)"
-        argv = [
-            "delete", str(db_path), query, '["joe", "f1"]', "--workers", "2"
-        ]
+        argv = ["delete", str(db_path), query, '["joe", "f1"]']
         assert main(argv) == 0
-        sharded_out = capsys.readouterr().out
-        assert main(argv[:-2]) == 0  # serial run
-        assert capsys.readouterr().out == sharded_out
-        # --workers must be positive: a usage error (exit 2), pre-work.
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv[:-1] + ["0"])
-        assert excinfo.value.code == 2
-        assert "--workers" in capsys.readouterr().err
+        capsys.readouterr()
+        # --workers no longer exists: a usage error (exit 2), pre-work.
+        for command in (argv, ["serve", str(db_path)]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(command + ["--workers", "2"])
+            assert excinfo.value.code == 2
+            assert "--workers" in capsys.readouterr().err
 
 
 class TestCacheCounters:
@@ -371,9 +396,6 @@ class TestCacheCounters:
             "approx_bytes": 0,
             "bytes_high_water": 0,
             "max_bytes": None,
-            "spills": 0,
-            "spill_attaches": 0,
-            "spilled_entries": 0,
             "plan_hits": 0,
             "plan_misses": 0,
             "plan_size": 0,
@@ -441,24 +463,24 @@ class TestProvenanceRefusedFallback:
 
 class TestSnapshotAgainstEmptyView:
     def test_empty_view_answers_empty(self):
+        """An empty view: every candidate, on either kernel, destroys nothing."""
         db = Database(
             [Relation("R", ["A"], [(1,)]), Relation("S", ["A"], [(2,)])]
         )
-        from repro.algebra.parser import parse_query
-
         kernel = why_provenance(parse_query("R JOIN S"), db).kernel
-        masks = [kernel.index.encode(frozenset({("R", (1,))})), 0]
-        assert kernel.batch_destroyed(masks, workers=4) == (
-            kernel.batch_destroyed(masks)
-        )
-        assert kernel.batch_destroyed(masks) == [frozenset(), frozenset()]
+        assert len(kernel) == 0
+        candidates = [kernel.index.encode(frozenset({("R", (1,))})), 0, (5,)]
+        for length in (3, VECTORIZED_MIN_BATCH + 1):
+            vector = (candidates * length)[:length]
+            assert kernel.batch_destroyed(vector) == [frozenset()] * length
+            assert kernel.batch_surviving_rows(vector) == [frozenset()] * length
 
 
 class TestIntAndIdDeletionForms:
-    """Folded from the retired segmented-mask suite: every public survival
-    method answers an int mask and its ascending id tuple identically, on
-    the serial kernel and the sharded one, with the numpy chunk kernel and
-    the pure-Python one."""
+    """Every public survival method answers an int mask and its ascending
+    id tuple identically, with long vectors on the vectorized kernel
+    (``numpy``) or, with scipy taken away, on the survival index
+    (``python``)."""
 
     @pytest.fixture(params=["spu", "sj"])
     def kernel_db(self, request):
@@ -466,11 +488,15 @@ class TestIntAndIdDeletionForms:
             db, query, target = spu_workload(30, seed=11)
         else:
             db, query, target = sj_workload(18, seed=12)
-        return why_provenance(query, db).kernel, db, tuple(target)
+        return query, db, tuple(target)
 
     @pytest.fixture(params=["numpy", "python"])
-    def force_python(self, request):
-        """Whether the chunk kernel is pinned to its pure-Python form."""
+    def force_python(self, request, monkeypatch):
+        """Whether long vectors are pinned to the pure-Python kernel."""
+        if request.param == "python":
+            monkeypatch.setattr(witness_table, "_SPARSE", False)
+        elif not HAVE_VECTORIZED:
+            pytest.skip("the vectorized kernel needs numpy and scipy")
         return request.param == "python"
 
     def _deletion_sets(self, db, seed, n):
@@ -484,8 +510,8 @@ class TestIntAndIdDeletionForms:
         return sets
 
     def test_serial_answers_match(self, kernel_db, force_python):
-        kernel, db, target = kernel_db
-        snapshot = kernel._shard_snapshot()
+        query, db, target = kernel_db
+        kernel = why_provenance(query, db).kernel
         all_rows = frozenset(kernel.rows)
         for dels in self._deletion_sets(db, seed=21, n=30):
             ids = kernel.encode_deletions_auto(dels)
@@ -499,60 +525,21 @@ class TestIntAndIdDeletionForms:
             )
             survivors = kernel.surviving_rows(ids)
             assert survivors == kernel.surviving_rows(mask)
-            by_ids = snapshot.destroyed_indices_chunk(
-                [ids], 0, 1, force_python=force_python
-            )
-            by_mask = snapshot.destroyed_indices_chunk(
-                [mask], 0, 1, force_python=force_python
-            )
-            assert by_ids == by_mask
-            destroyed = frozenset(snapshot.rows[i] for i in by_ids[0])
+            (destroyed,) = kernel.batch_destroyed([ids])
+            assert kernel.batch_destroyed([mask]) == [destroyed]
             assert all_rows - destroyed == survivors
 
     def test_batch_answers_match(self, kernel_db, force_python):
-        kernel, db, target = kernel_db
-        sets = self._deletion_sets(db, seed=22, n=SHARD_MIN_BATCH)
+        query, db, target = kernel_db
+        kernel = why_provenance(query, db).kernel
+        sets = self._deletion_sets(db, seed=22, n=VECTORIZED_MIN_BATCH)
         ids = [kernel.encode_deletions_auto(d) for d in sets]
         masks = [kernel.index.encode(d) for d in sets]
         expected = kernel.batch_surviving_rows(masks)
-        for workers in (None, 2):
-            assert kernel.batch_surviving_rows(ids, workers=workers) == expected
-            assert kernel.batch_side_effects_mask(
-                target, ids, workers=workers
-            ) == kernel.batch_side_effects_mask(target, masks)
-        snapshot = kernel._shard_snapshot()
-        by_ids = sharded_destroyed_indices(
-            snapshot, ids, 2, backend="thread", force_python=force_python
+        assert kernel.batch_surviving_rows(ids) == expected
+        assert kernel.batch_side_effects_mask(target, ids) == (
+            kernel.batch_side_effects_mask(target, masks)
         )
-        assert by_ids == sharded_destroyed_indices(
-            snapshot, masks, 2, backend="thread", force_python=force_python
-        )
-        all_rows = frozenset(kernel.rows)
-        assert [
-            all_rows - frozenset(snapshot.rows[i] for i in indices)
-            for indices in by_ids
-        ] == expected
-
-
-class TestMmapOnHostsWithoutFork:
-    def test_process_backend_ships_the_mmap_path(self, monkeypatch):
-        from repro.parallel import close_pools, executor
-
-        db, query, target = sj_workload(15, seed=10)
-        kernel = why_provenance(query, db).kernel
-        masks = _mask_vector(kernel, db, target, extra=20, seed=10)
-        snapshot = kernel._shard_snapshot()
-        serial = sharded_destroyed_indices(snapshot, masks, 1)
-        assert snapshot._mmap_path is None
-        monkeypatch.setattr(
-            executor.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
-        )
-        try:
-            got = sharded_destroyed_indices(
-                snapshot, masks, 2, backend="process", chunk_size=10
-            )
-        finally:
-            close_pools()
-        assert got == serial
-        # The snapshot travelled as a file path, not as a pickle.
-        assert snapshot._mmap_path is not None
+        assert _vectorized(kernel) is not force_python
+        oracle = _Oracle(query, db)
+        assert expected == [oracle.baseline - oracle.destroyed(d) for d in sets]

@@ -5,8 +5,7 @@ executor's ``row -> minimized mask tuple`` table as three flat arrays.  The
 invariant every test here circles: whatever the container kind (numpy
 arrays from the vectorized kernels, lists from the tuple executor that is
 the no-numpy path), whatever the bit positions (including ids past 512
-and 1024), and whatever the transport (pickle, flat file, mmap),
-the table decodes to exactly the dict-of-int-masks oracle the tuple
+and 1024), the table decodes to exactly the dict-of-int-masks oracle the tuple
 executor produces — element for element, not just as sets.  Tables come
 from the columnar kernels where numpy imports and from the tuple
 executor otherwise; the ``*forced_python*`` cases pin the tuple-built
@@ -15,8 +14,6 @@ executor otherwise; the ``*forced_python*`` cases pin the tuple-built
 
 from __future__ import annotations
 
-import os
-import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +22,6 @@ from repro.algebra.parser import parse_query
 from repro.algebra.plan import compile_plan
 from repro.algebra.relation import Database, Relation
 from repro.columnar import HAVE_NUMPY, ColumnStore, columnar_annotated_table
-from repro.parallel import ShardSnapshot
 from repro.provenance import (
     SourceIndex,
     SurvivalIndex,
@@ -279,48 +275,17 @@ class TestDerivedViews:
         assert table.memory_bytes() > 0
 
 
-class TestRoundTrips:
-    def test_flat_file_round_trip(self, tmp_path):
+class TestPointDecode:
+    def test_bits_of_decodes_each_row_once(self):
+        """Tables never change, so a row's decode is memoized on the table."""
         db, query = random_instance(23, max_depth=3)
         table, oracle = _table_and_oracle(query, db, level=1)
-        path = str(tmp_path / "table.flat")
-        table.write_file(path)
-        attached = WitnessTable.attach_file(path)
-        assert attached.rows == table.rows
-        assert attached.as_lists() == table.as_lists()
-        assert attached.to_masks() == oracle
-
-    def test_attach_rejects_wrong_kind(self, tmp_path):
-        from repro.columnar.flatfile import write_flat
-
-        path = str(tmp_path / "other.flat")
-        write_flat(path, {"kind": "something-else"}, {"a": [1, 2]})
-        with pytest.raises(ValueError):
-            WitnessTable.attach_file(path)
-
-    def test_snapshot_pickle_round_trip(self):
-        db, query = random_instance(23, max_depth=3)
-        prov = bitset_why_provenance(query, db, store=_platform_store(db))
-        snap = prov._shard_snapshot()
-        assert snap._table is prov._table  # adopted, not re-encoded
-        clone = pickle.loads(pickle.dumps(snap))
-        assert clone.rows == snap.rows
-        assert clone._table.as_lists() == snap._table.as_lists()
-        assert clone._table.to_masks() == snap._table.to_masks()
-
-    def test_snapshot_mmap_round_trip(self, tmp_path):
-        db, query = random_instance(23, max_depth=3)
-        prov = bitset_why_provenance(query, db, store=_platform_store(db))
-        snap = prov._shard_snapshot()
-        path = str(tmp_path / "snap.flat")
-        snap.write_file(path)
-        attached = ShardSnapshot.attach_file(path)
-        masks = [7, 1 << 3, 0]
-        snap.prepare()
-        attached.prepare()
-        assert attached.destroyed_indices_chunk(
-            masks, 0, len(masks)
-        ) == snap.destroyed_indices_chunk(masks, 0, len(masks))
+        for row, masks in oracle.items():
+            wits = table.bits_of(row)
+            assert wits == tuple(tuple(iter_bits(mask)) for mask in masks)
+            assert table.bits_of(row) is wits
+            assert table.masks_of(row) == masks
+        assert table.bits_of(("no", "such", "row")) is None
 
 
 class TestBuildCounters:
