@@ -129,9 +129,7 @@ def _run_leg(enabled: bool, seed: int, count: int) -> Dict[str, float]:
     db, _query, _target = _workload()
     rng = random.Random(seed)
     try:
-        with ServiceEngine(
-            {DB_NAME: db}, metrics=registry, slow_query_log=slow_log
-        ) as engine:
+        with ServiceEngine({DB_NAME: db}, slow_query_log=slow_log) as engine:
             requests = _build_requests(db, rng, count)
             # Warm the oracle and the plan memo outside the timed window.
             engine.execute(HypotheticalRequest(DB_NAME, QUERY, frozenset()))
@@ -186,7 +184,6 @@ def _probe_live_stats(traffic: int = 40) -> Dict[str, object]:
     Returns the probe verdicts; every ``*_ok`` flag must be True.
     """
     db, _query, _target = _workload()
-    registry = MetricsRegistry()
     slow_log = SlowQueryLog(threshold_s=0.0)
     rng = random.Random(5)
 
@@ -220,10 +217,12 @@ def _probe_live_stats(traffic: int = 40) -> Dict[str, object]:
         await server.aclose()
         return stats_answer, engine.stats()
 
-    with ServiceEngine(
-        {DB_NAME: db}, metrics=registry, slow_query_log=slow_log
-    ) as engine:
-        stats_answer, final_stats = asyncio.run(session(engine))
+    displaced = set_default_registry(MetricsRegistry())
+    try:
+        with ServiceEngine({DB_NAME: db}, slow_query_log=slow_log) as engine:
+            stats_answer, final_stats = asyncio.run(session(engine))
+    finally:
+        set_default_registry(displaced)
 
     histograms = stats_answer["metrics"]["histograms"]
     latency_counts = {

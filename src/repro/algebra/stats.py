@@ -55,7 +55,6 @@ from repro.algebra.schema import Schema
 
 __all__ = [
     "RelationStats",
-    "MaintainedStatistics",
     "TableStatistics",
     "Estimate",
     "estimate_query",
@@ -146,112 +145,6 @@ class TableStatistics:
 
     def __repr__(self) -> str:
         return f"TableStatistics({sorted(self._relations)!r})"
-
-
-class MaintainedStatistics:
-    """Statistics kept current under deltas instead of recomputed.
-
-    The write path applies many small deltas; recollecting
-    :class:`TableStatistics` per write is a full pass over every relation.
-    This class keeps, per relation, the exact row count plus a per-column
-    ``value -> multiplicity`` multiset, so deletes and inserts are O(delta)
-    and distinct counts stay exact (a value's distinct contribution only
-    drops when its last occurrence does).
-
-    :meth:`snapshot` produces a :class:`TableStatistics` equal to a fresh
-    :meth:`TableStatistics.from_database` collection, and :meth:`version`
-    matches :func:`stats_version` — so the compiled-plan memo keyed on the
-    version tuple survives every write that keeps each relation's row count
-    inside its power-of-two bucket.
-    """
-
-    __slots__ = ("_rows", "_columns", "_attrs")
-
-    def __init__(self, db: Database):
-        #: name -> exact row count.
-        self._rows: Dict[str, int] = {}
-        #: name -> one value->count multiset per column position.
-        self._columns: Dict[str, Tuple[Dict[object, int], ...]] = {}
-        #: name -> schema attribute names (column order).
-        self._attrs: Dict[str, Tuple[str, ...]] = {}
-        for name in db.names():
-            relation = db[name]
-            counts: Tuple[Dict[object, int], ...] = tuple(
-                {} for _ in relation.schema.attributes
-            )
-            for row in relation.rows:
-                for column, value in zip(counts, row):
-                    column[value] = column.get(value, 0) + 1
-            self._rows[name] = len(relation)
-            self._columns[name] = counts
-            self._attrs[name] = relation.schema.attributes
-
-    def apply_delta(
-        self,
-        deletions: "Iterable[tuple[str, Tuple[object, ...]]]" = (),
-        inserts: "Iterable[tuple[str, Tuple[object, ...]]]" = (),
-    ) -> Tuple[str, ...]:
-        """Apply *effective* deltas; the relations whose log2 bucket changed.
-
-        Callers must pass only rows actually removed / actually added (the
-        versioned write path normalizes its deltas first) — counts would
-        drift otherwise.  The return value is what decides whether the
-        plan-memo ``stats_version`` key moves.
-        """
-        before = dict(self._rows)
-        for name, row in deletions:
-            self._rows[name] -= 1
-            for column, value in zip(self._columns[name], row):
-                remaining = column[value] - 1
-                if remaining:
-                    column[value] = remaining
-                else:
-                    del column[value]
-        for name, row in inserts:
-            self._rows[name] += 1
-            for column, value in zip(self._columns[name], row):
-                column[value] = column.get(value, 0) + 1
-        return tuple(
-            sorted(
-                name
-                for name, count in self._rows.items()
-                if count.bit_length() != before[name].bit_length()
-            )
-        )
-
-    def rows_of(self, name: str) -> int:
-        """Exact current row count of ``name`` (KeyError when unknown)."""
-        return self._rows[name]
-
-    def snapshot(self) -> TableStatistics:
-        """A :class:`TableStatistics` equal to a fresh full collection."""
-        return TableStatistics(
-            {
-                name: RelationStats(
-                    self._rows[name],
-                    {
-                        attr: len(column)
-                        for attr, column in zip(
-                            self._attrs[name], self._columns[name]
-                        )
-                    },
-                )
-                for name in self._rows
-            }
-        )
-
-    def version(self, names: Iterable[str]) -> Tuple:
-        """The same tuple :func:`stats_version` computes from the database."""
-        return tuple(
-            (
-                name,
-                self._rows[name].bit_length() if name in self._rows else None,
-            )
-            for name in names
-        )
-
-    def __repr__(self) -> str:
-        return f"MaintainedStatistics({sorted(self._rows)!r})"
 
 
 def stats_version(db: Database, names: Iterable[str]) -> Tuple:

@@ -53,13 +53,16 @@ Perfetto) on shutdown.
 ``stats`` asks a running server for its live observability snapshot over
 one NDJSON request — request counters, per-kind latency histograms
 (p50/p95/p99), batcher queue stats, cache counters, and recent
-slow-query entries.  ``--format text`` prints the Prometheus-style text
+slow-query entries.  Every request the engine answers counts once in
+``requests``, batched hypotheticals included (here 871 of the 1042, in
+112 kernel calls).  ``--format text`` prints the Prometheus-style text
 exposition instead (the HTTP-free ``/metrics`` equivalent)::
 
     $ repro stats 127.0.0.1:7464
     requests: 1042   errors: 0
-    service.latency.hypothetical: p50=512.0us p99=4.1ms (n=871)
-    batcher: pending=3 batches_issued=112 coalesced_requests=759
+    service.latency.hypothetical: p50=512.0us p95=2.0ms p99=4.1ms (n=871)
+    batcher: pending=3 batches_issued=112 coalesced_requests=759 expired=0 overloads=0
+    cache: hits=1650 misses=12 evictions=0
     slow queries (threshold 50.0ms): 2 logged
       0.0613s hypothetical db PROJECT[user, file](UserGroup JOIN GroupFile)
 
@@ -464,7 +467,7 @@ def _cmd_stats(args: argparse.Namespace) -> None:
         if not snap.get("count"):
             continue
         # Histograms are latencies unless the name says otherwise
-        # (batch_size / coalesce_factor count requests, not seconds).
+        # (batcher.batch_size counts requests, not seconds).
         timed = "seconds" in name or ".latency." in name
         fmt = _format_latency if timed else (lambda v: "-" if v is None else f"{v:g}")
         print(

@@ -6,8 +6,9 @@ each independently usable and each with a near-zero-overhead "off" mode:
 * :mod:`repro.observability.metrics` — a thread-safe
   :class:`MetricsRegistry` of named counters, gauges, and log-bucketed
   latency histograms (p50/p95/p99 from fixed power-of-two buckets),
-  plus pull-style collectors for subsystems that already keep their own
-  stats.  Snapshot (JSON) and Prometheus-style text exposition.
+  the one store of every serving count, plus pull-style collectors (the
+  provenance cache's counters).  Snapshot (JSON) and Prometheus-style
+  text exposition.
 * :mod:`repro.observability.tracing` — per-request span trees
   (parse → plan compile → witness build → queue wait → batch kernel →
   solver) with context carried across the batcher's thread hop,

@@ -1,10 +1,9 @@
 """A thread-safe registry of counters, gauges, and latency histograms.
 
-The serving stack (:mod:`repro.service`), the provenance cache, and the
-witness kernels each already count what
-they do — but as private dict fields a caller can only reach by knowing
-the object that owns them.  :class:`MetricsRegistry` gives every layer one
-named, process-visible place to put those numbers:
+:class:`MetricsRegistry` is the one store of every serving count: the
+serving stack (:mod:`repro.service`) and the witness kernels record into
+the process default registry, and ``ServiceEngine.stats()`` and
+``MicroBatcher.stats()`` are reads of it.  Instruments:
 
 * :class:`Counter` — a monotonically increasing total (requests served,
   deadline expiries, delta patches);
@@ -14,10 +13,10 @@ named, process-visible place to put those numbers:
   cumulative bucket walk, two histograms merge by adding bucket counts
   (:meth:`Histogram.merge` — how per-thread shards combine), and
   recording costs one bisect plus one lock;
-* **collectors** — callables polled at snapshot time, the pull-style
-  bridge for subsystems that already keep their own counters (the
-  provenance cache) without making their hot paths pay
-  a second increment.
+* **collectors** — callables polled at snapshot time.  The provenance
+  cache is the one subsystem that keeps its own counters (hits, misses,
+  evictions, invalidations, under the lock its lookups already take);
+  its collector is how they reach a snapshot.
 
 Three export forms: :meth:`MetricsRegistry.snapshot` (plain dicts, the
 ``StatsRequest`` payload), :meth:`MetricsRegistry.render_text`
@@ -173,14 +172,16 @@ class Histogram:
         self._min: Optional[float] = None
         self._max: Optional[float] = None
 
-    def observe(self, value: float) -> None:
-        if not self._registry._enabled:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value`` ``count`` times (a batch whose members all
+        took the same wall time records in one call)."""
+        if count < 1 or not self._registry._enabled:
             return
         slot = bisect_left(self._bounds, value)
         with self._lock:
-            self._counts[slot] += 1
-            self._count += 1
-            self._sum += value
+            self._counts[slot] += count
+            self._count += count
+            self._sum += value * count
             if self._min is None or value < self._min:
                 self._min = value
             if self._max is None or value > self._max:
@@ -362,18 +363,13 @@ class MetricsRegistry:
     ) -> None:
         """Poll ``fn`` at snapshot/exposition time under ``name``.
 
-        The bridge for subsystems that already keep counters (the
-        provenance cache): their stats dict appears in
-        every snapshot without their hot paths paying a second increment.
-        A collector that raises is reported as an error entry, never
-        allowed to break the scrape.
+        The bridge for the provenance cache's counters: its stats dict
+        appears in every snapshot without a second store.  A collector
+        that raises is reported as an error entry, never allowed to break
+        the scrape.
         """
         with self._lock:
             self._collectors[name] = fn
-
-    def unregister_collector(self, name: str) -> None:
-        with self._lock:
-            self._collectors.pop(name, None)
 
     # ------------------------------------------------------------------
     # Export

@@ -655,8 +655,6 @@ def bitset_why_provenance(
     """
     from time import perf_counter
 
-    from repro.provenance.cache import provenance_cache
-
     if store is not None and not store.matches(db):
         store = None
     if index is None:
@@ -679,6 +677,10 @@ def bitset_why_provenance(
         "witnesses": nwits,
         "path": path,
     }
-    provenance_cache.note_witness_build(seconds, len(table), nwits)
-    _registry().histogram("provenance.witness_build_seconds").observe(seconds)
+    # The one record of a witness build: the histogram's count is the
+    # number of builds, its sum their wall time.
+    metrics = _registry()
+    metrics.histogram("provenance.witness_build_seconds").observe(seconds)
+    metrics.counter("provenance.witness_rows").inc(len(table))
+    metrics.counter("provenance.witnesses").inc(nwits)
     return prov

@@ -18,17 +18,15 @@ Keying and invalidation rules:
   never reused while its entry is alive (Python ids are only unique among
   live objects).
 * The cache is a bounded LRU: inserting past ``maxsize`` evicts the least
-  recently used entry, releasing its references.  There is no explicit
-  invalidation — updated databases are *new* objects
-  (``Database.delete`` returns a copy), which simply miss.
-* Long-lived serving processes (:mod:`repro.service`) can additionally
-  bound the cache by **approximate bytes** (``max_bytes`` /
-  :meth:`ProvenanceCache.set_capacity`): each entry's value is sized with
-  a bounded recursive ``sys.getsizeof`` walk at insert time, and inserts
-  evict LRU entries until the running total fits.  The default stays
-  unbounded by bytes, so batch/benchmark behaviour is unchanged.
-  Eviction counts are surfaced in :meth:`ProvenanceCache.stats` next to
-  the hit/miss counters.
+  recently used entry, releasing its references.  Updated databases are
+  *new* objects (``Database.delete`` returns a copy), which simply miss;
+  the write path (:mod:`repro.service`) also drops a displaced
+  snapshot's entries (:meth:`ProvenanceCache.invalidate_database`) so
+  they do not pin a dead database until LRU eviction reaches them.
+* The hit/miss/eviction/invalidation counters live here, under the lock
+  every lookup already takes, and nowhere else; a serving engine exposes
+  them through one metrics-registry collector
+  (:meth:`ProvenanceCache.stats`).
 * All operations are **thread-safe**: a lock guards lookup, insert, and
   the counters, so concurrent readers never tear the stats, and per-key
   *in-flight claims* make a given ``(query, db)`` pair compute/compile at
@@ -54,7 +52,6 @@ coexist under distinct keys.
 
 from __future__ import annotations
 
-import sys
 import threading
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Tuple, TYPE_CHECKING
@@ -81,78 +78,6 @@ __all__ = [
 _Key = Tuple[str, int, int, str]
 
 
-#: Bounded-walk limits for the approximate entry sizing: provenance objects
-#: can hold millions of interned rows, and an exact deep walk would cost as
-#: much as the computation it sizes.  The walk visits at most this many
-#: nodes and extrapolates containers it truncates.
-_SIZE_WALK_LIMIT = 4096
-
-
-def approx_object_bytes(value: Any, limit: int = _SIZE_WALK_LIMIT) -> int:
-    """Approximate deep size of ``value`` in bytes, by bounded traversal.
-
-    ``sys.getsizeof`` over a breadth-first walk of containers, ``__dict__``
-    and ``__slots__``, deduplicated by object identity.  Containers whose
-    iteration is cut off by the node ``limit`` are extrapolated linearly
-    from the sampled prefix, so a huge witness table is *estimated* in
-    O(limit) instead of walked in O(table).  This is deliberately an
-    estimate — the byte bound it feeds is a memory-pressure valve, not an
-    accounting ledger.
-    """
-    seen = set()
-    total = 0
-    visited = 0
-    stack = [value]
-    while stack and visited < limit:
-        obj = stack.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        visited += 1
-        try:
-            total += sys.getsizeof(obj)
-        except TypeError:  # pragma: no cover - exotic objects without size
-            continue
-        if isinstance(obj, (str, bytes, int, float, bool)) or obj is None:
-            continue
-        children: "list" = []
-        if isinstance(obj, dict):
-            for key, val in obj.items():
-                children.append(key)
-                children.append(val)
-        elif isinstance(obj, (tuple, list, set, frozenset)):
-            children.extend(obj)
-        else:
-            inner = getattr(obj, "__dict__", None)
-            if inner is not None:
-                children.append(inner)
-            # Walk the full MRO: getattr(type, "__slots__") sees only the
-            # most-derived class, silently skipping every inherited slot
-            # (and a bare-string __slots__ would iterate per character) —
-            # which is how mask-heavy kernels used to under-count.
-            for klass in type(obj).__mro__:
-                slots = klass.__dict__.get("__slots__", ())
-                if isinstance(slots, str):
-                    slots = (slots,)
-                for slot in slots:
-                    child = getattr(obj, slot, None)
-                    if child is not None:
-                        children.append(child)
-        budget = limit - visited
-        if len(children) > budget:
-            # Extrapolate the truncated tail from the sampled prefix.
-            sample = children[:budget] if budget else []
-            if sample:
-                sampled = sum(
-                    approx_object_bytes(c, limit=64) for c in sample
-                )
-                total += int(sampled * (len(children) / len(sample))) - sampled
-            stack.extend(sample)
-        else:
-            stack.extend(children)
-    return total
-
-
 class ProvenanceCache:
     """Bounded identity-keyed LRU memo for provenance objects.
 
@@ -164,9 +89,6 @@ class ProvenanceCache:
     __slots__ = (
         "_entries",
         "_maxsize",
-        "_max_bytes",
-        "_bytes",
-        "_bytes_high_water",
         "_hits",
         "_misses",
         "_evictions",
@@ -178,50 +100,24 @@ class ProvenanceCache:
         "_lock",
         "_inflight",
         "_plan_inflight",
-        "_witness_builds",
-        "_witness_build_seconds",
-        "_witness_rows",
-        "_witness_count",
         "_invalidations",
-        "_version_bumps",
     )
 
-    def __init__(
-        self,
-        maxsize: int = 64,
-        plan_maxsize: int = 256,
-        max_bytes: "int | None" = None,
-    ):
+    def __init__(self, maxsize: int = 64, plan_maxsize: int = 256):
         if maxsize < 1:
             raise ValueError("maxsize must be positive")
         if plan_maxsize < 1:
             raise ValueError("plan_maxsize must be positive")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be positive (or None: unbounded)")
-        #: key -> (query, db, value, approx bytes); query/db kept alive to
-        #: pin their ids.
-        self._entries: "OrderedDict[_Key, Tuple[Query, Database, Any, int]]" = (
+        #: key -> (query, db, value); query/db kept alive to pin their ids.
+        self._entries: "OrderedDict[_Key, Tuple[Query, Database, Any]]" = (
             OrderedDict()
         )
         self._maxsize = maxsize
-        self._max_bytes = max_bytes
-        self._bytes = 0
-        self._bytes_high_water = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        #: Witness-build observability (fed by bitset_why_provenance): how
-        #: many annotated evaluations ran, their wall time, and the shape
-        #: of the tables they produced.
-        self._witness_builds = 0
-        self._witness_build_seconds = 0.0
-        self._witness_rows = 0
-        self._witness_count = 0
-        #: Write-path observability: entries dropped because their database
-        #: was displaced, and stats-version bucket moves noted by the
-        #: versioned write path.
+        #: Entries dropped because the write path displaced their database.
         self._invalidations = 0
-        self._version_bumps = 0
         #: (id(query), schema signature, optimizer level, stats version) ->
         #: plan; CompiledPlan.query keeps the query alive, so its id is
         #: never recycled while the entry lives.
@@ -240,66 +136,10 @@ class ProvenanceCache:
         self._inflight: Dict[_Key, Tuple[int, threading.Event]] = {}
         self._plan_inflight: "Dict[Tuple[int, Tuple], Tuple[int, threading.Event]]" = {}
 
-    def set_capacity(
-        self,
-        maxsize: "int | None" = None,
-        plan_maxsize: "int | None" = None,
-        max_bytes: "int | None | type(...)" = ...,
-    ) -> None:
-        """Rebound a live cache (``None``/``...`` keeps a limit unchanged).
-
-        ``max_bytes`` accepts ``None`` explicitly to lift the byte bound,
-        so its "leave unchanged" sentinel is ``...``.  Tightening a bound
-        evicts LRU entries immediately.  This is how a long-lived serving
-        process (:class:`repro.service.engine.ServiceEngine`) bounds the
-        shared process-wide cache without touching library defaults.
-        """
-        with self._lock:
-            if maxsize is not None:
-                if maxsize < 1:
-                    raise ValueError("maxsize must be positive")
-                self._maxsize = maxsize
-            if plan_maxsize is not None:
-                if plan_maxsize < 1:
-                    raise ValueError("plan_maxsize must be positive")
-                self._plan_maxsize = plan_maxsize
-            if max_bytes is not ...:
-                if max_bytes is not None and max_bytes < 1:
-                    raise ValueError(
-                        "max_bytes must be positive (or None: unbounded)"
-                    )
-                self._max_bytes = max_bytes
-            if self._max_bytes is not None:
-                # Entries inserted while unbounded were never sized; size
-                # them now so the new bound accounts for the whole cache.
-                total = 0
-                for key, entry in self._entries.items():
-                    if entry[3] == 0:
-                        entry = entry[:3] + (approx_object_bytes(entry[2]),)
-                        self._entries[key] = entry
-                    total += entry[3]
-                self._bytes = total
-                if self._bytes > self._bytes_high_water:
-                    self._bytes_high_water = self._bytes
-            self._evict_entries()
-            while len(self._plans) > self._plan_maxsize:
-                self._plans.popitem(last=False)
-                self._plan_evictions += 1
-
     def _evict_entries(self) -> None:
-        """Drop LRU entries until both the entry and byte bounds hold.
-
-        The newest entry always survives, even when it alone exceeds
-        ``max_bytes`` — evicting the value just computed would turn an
-        over-large result into a recompute-every-call livelock.
-        """
-        while len(self._entries) > self._maxsize or (
-            self._max_bytes is not None
-            and self._bytes > self._max_bytes
-            and len(self._entries) > 1
-        ):
-            key, evicted = self._entries.popitem(last=False)
-            self._bytes -= evicted[3]
+        """Drop LRU entries until the entry bound holds."""
+        while len(self._entries) > self._maxsize:
+            self._entries.popitem(last=False)
             self._evictions += 1
 
     def _claim(self, inflight: Dict, key) -> "threading.Event | None":
@@ -359,15 +199,7 @@ class ProvenanceCache:
             raise
         with self._lock:
             if key not in self._entries:  # reentrant compute may have won
-                size = (
-                    approx_object_bytes(value)
-                    if self._max_bytes is not None
-                    else 0
-                )
-                self._entries[key] = (query, db, value, size)
-                self._bytes += size
-                if self._bytes > self._bytes_high_water:
-                    self._bytes_high_water = self._bytes
+                self._entries[key] = (query, db, value)
                 self._evict_entries()
             self._release(self._inflight, key)
             return value
@@ -390,14 +222,8 @@ class ProvenanceCache:
         """
         key = (kind, id(query), id(db), view_name)
         with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= old[3]
-            size = approx_object_bytes(value) if self._max_bytes is not None else 0
-            self._entries[key] = (query, db, value, size)
-            self._bytes += size
-            if self._bytes > self._bytes_high_water:
-                self._bytes_high_water = self._bytes
+            self._entries.pop(key, None)
+            self._entries[key] = (query, db, value)
             self._evict_entries()
 
     def peek(
@@ -430,23 +256,10 @@ class ProvenanceCache:
         dropped = 0
         with self._lock:
             for key in [k for k, e in self._entries.items() if e[1] is db]:
-                entry = self._entries.pop(key)
-                self._bytes -= entry[3]
+                del self._entries[key]
                 dropped += 1
             self._invalidations += dropped
         return dropped
-
-    def note_version_bump(self) -> None:
-        """Record one stats-version bucket move under the write path.
-
-        Called by :class:`repro.versioning.VersionedDatabase` when an
-        applied delta moves a relation's row count across a power-of-two
-        bucket — the writes after which compiled plans stop being
-        reusable.  The complement of this counter staying low is the
-        plan-memo survival the write path is designed for.
-        """
-        with self._lock:
-            self._version_bumps += 1
 
     def plan_for(
         self,
@@ -547,7 +360,6 @@ class ProvenanceCache:
         with self._lock:
             self._entries.clear()
             self._plans.clear()
-            self._bytes = 0
             self.reset_stats()
 
     def reset_stats(self) -> None:
@@ -559,13 +371,7 @@ class ProvenanceCache:
             self._plan_hits = 0
             self._plan_misses = 0
             self._plan_evictions = 0
-            self._bytes_high_water = self._bytes
-            self._witness_builds = 0
-            self._witness_build_seconds = 0.0
-            self._witness_rows = 0
-            self._witness_count = 0
             self._invalidations = 0
-            self._version_bumps = 0
 
     def stats(self) -> Dict[str, int]:
         """Hit/miss/eviction counters and current sizes, for diagnostics."""
@@ -575,35 +381,12 @@ class ProvenanceCache:
                 "misses": self._misses,
                 "size": len(self._entries),
                 "evictions": self._evictions,
-                "approx_bytes": self._bytes,
-                "bytes_high_water": self._bytes_high_water,
-                "max_bytes": self._max_bytes,
                 "plan_hits": self._plan_hits,
                 "plan_misses": self._plan_misses,
                 "plan_size": len(self._plans),
                 "plan_evictions": self._plan_evictions,
-                "witness_builds": self._witness_builds,
-                "witness_build_seconds": self._witness_build_seconds,
-                "witness_rows": self._witness_rows,
-                "witness_count": self._witness_count,
                 "invalidations": self._invalidations,
-                "version_bumps": self._version_bumps,
             }
-
-    def note_witness_build(self, seconds: float, rows: int, witnesses: int) -> None:
-        """Record one annotated witness-table build (wall time and shape).
-
-        Called by :func:`repro.provenance.bitset.bitset_why_provenance`
-        whenever a kernel is (re)built — cache hits never pass through
-        here, so the counters measure exactly the cold-start work the
-        array-native pipeline is meant to shave.  Surfaced through
-        :meth:`stats` and :meth:`repro.service.engine.ServiceEngine.stats`.
-        """
-        with self._lock:
-            self._witness_builds += 1
-            self._witness_build_seconds += seconds
-            self._witness_rows += rows
-            self._witness_count += witnesses
 
     def __len__(self) -> int:
         with self._lock:

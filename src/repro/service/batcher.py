@@ -105,22 +105,19 @@ class MicroBatcher:
         self._queue: Deque[PendingRequest] = deque()
         self._cond = threading.Condition()
         self._closed = False
-        self._batches_issued = 0
-        self._coalesced = 0
-        self._expired = 0
-        self._overloads = 0
+        # The batcher's counts live only in the engine's registry, so a
+        # StatsRequest answered by the engine sees them mid-traffic.
         metrics = engine.metrics
         self._m_depth = metrics.gauge("batcher.queue_depth")
-        # Count-shaped buckets (powers of two up to max_batch scale): these
-        # two histograms hold request counts, not seconds, so quantiles
-        # must land on whole batch sizes.
+        # Count-shaped buckets (powers of two up to max_batch scale): this
+        # histogram holds requests answered per kernel call, not seconds,
+        # so quantiles must land on whole batch sizes.  Its count is the
+        # number of batches issued.
         counts = tuple(float(2 ** i) for i in range(13))
         self._m_batch_size = metrics.histogram("batcher.batch_size", buckets=counts)
-        self._m_coalesce = metrics.histogram("batcher.coalesce_factor", buckets=counts)
         self._m_queue_wait = metrics.histogram("batcher.queue_wait_seconds")
         self._m_expired = metrics.counter("batcher.expired")
         self._m_overload = metrics.counter("batcher.overload")
-        engine.add_stats_source("batcher", self.stats)
         self._thread = threading.Thread(
             target=self._run, name="repro-batcher", daemon=True
         )
@@ -144,11 +141,9 @@ class MicroBatcher:
         )
         with self._cond:
             if self._closed:
-                self._overloads += 1
                 self._m_overload.inc()
                 raise ServiceOverloadError("batcher is closed")
             if len(self._queue) >= self._max_pending:
-                self._overloads += 1
                 self._m_overload.inc()
                 raise ServiceOverloadError(
                     f"request queue is full ({self._max_pending} pending)"
@@ -197,8 +192,6 @@ class MicroBatcher:
                 pending.future.set_result(error_response("service is shutting down"))
 
     def _fail_expired(self, pending: PendingRequest) -> None:
-        with self._cond:
-            self._expired += 1
         self._m_expired.inc()
         if not pending.future.done():
             pending.future.set_result(
@@ -270,10 +263,7 @@ class MicroBatcher:
                 live.append(pending)
         if not live:
             return
-        self._batches_issued += 1
-        self._coalesced += len(live) - 1
         self._m_batch_size.observe(len(live))
-        self._m_coalesce.observe(len(live))  # requests answered per kernel call
         for pending in live:
             self._m_queue_wait.observe(now - pending.enqueued)
         try:
@@ -298,17 +288,14 @@ class MicroBatcher:
     # Introspection and lifecycle
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        with self._cond:
-            return {
-                "pending": len(self._queue),
-                "batches_issued": self._batches_issued,
-                "coalesced_requests": self._coalesced,
-                "expired": self._expired,
-                "overloads": self._overloads,
-                "max_batch": self._max_batch,
-                "max_delay_s": self._max_delay_s,
-                "max_pending": self._max_pending,
-            }
+        """The engine's ``batcher`` section (read from the registry) plus
+        this batcher's limits."""
+        return dict(
+            self._engine.stats()["batcher"],
+            max_batch=self._max_batch,
+            max_delay_s=self._max_delay_s,
+            max_pending=self._max_pending,
+        )
 
     def close(self) -> None:
         """Stop the scheduler; queued requests answer with a shutdown error."""

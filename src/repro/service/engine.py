@@ -17,6 +17,12 @@ alive across requests:
   :class:`~repro.provenance.bitset.BitsetProvenance` witness masks, built
   on first touch and reused by every later request.
 
+The engine keeps no counters of its own: every count it serves (requests,
+errors, batch calls, write outcomes, warm and cold oracle lookups) is an
+instrument in the process default metrics registry
+(:func:`repro.observability.default_registry`), and :meth:`ServiceEngine.
+stats` is a digest read from one registry snapshot.
+
 The engine itself is synchronous and thread-safe; batching and the async
 front door live in :mod:`repro.service.batcher` and
 :mod:`repro.service.server`.  Every answer is **bit-identical** to the
@@ -27,10 +33,9 @@ shared caches and kernels the library uses standalone (pinned by
 
 from __future__ import annotations
 
-import copy
 import threading
 import time
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import ExponentialGuardError, ReproError
 from repro.algebra.ast import Query
@@ -78,6 +83,20 @@ from repro.versioning import VersionedDatabase
 __all__ = ["ServiceEngine"]
 
 
+#: stats() key -> the registry counter it reads.
+_STATS_COUNTERS = (
+    ("requests", "service.requests"),
+    ("errors", "service.errors"),
+    ("batch_calls", "service.batch.calls"),
+    ("batched_candidates", "service.batch.candidates"),
+    ("deduped_candidates", "service.batch.deduped"),
+    ("deltas_applied", "service.delta.applied"),
+    ("oracles_patched", "service.delta.oracles_patched"),
+    ("oracles_reused", "service.delta.oracles_reused"),
+    ("oracles_rebuilt", "service.delta.oracles_rebuilt"),
+)
+
+
 def _sorted_rows(rows) -> Tuple[Row, ...]:
     return tuple(sorted(rows, key=repr))
 
@@ -85,14 +104,11 @@ def _sorted_rows(rows) -> Tuple[Row, ...]:
 class ServiceEngine:
     """A registry of databases plus warm execution state, behind one lock.
 
-    ``cache_entries``/``cache_bytes`` bound the shared
-    process-wide :data:`~repro.provenance.cache.provenance_cache` for
-    long-lived operation — they apply :meth:`~repro.provenance.cache.
-    ProvenanceCache.set_capacity` on construction and default to leaving
-    the library defaults untouched.  Note the bound is **process state**:
-    the cache is shared by every engine and library caller in the
-    process, so it persists after this engine closes, and when several
-    engines set bounds the last constructor wins.
+    Counts land in the metrics registry that is the process default when
+    the engine is built, as do the library's own instruments; a caller
+    that wants a private registry installs it with
+    :func:`~repro.observability.set_default_registry` first.  Counts are
+    therefore process-wide, like the shared provenance cache's.
 
     Evaluation and cold provenance builds run on the columnar substrate
     (:mod:`repro.columnar`) exactly when numpy imports: each registered
@@ -110,9 +126,6 @@ class ServiceEngine:
         databases: "Dict[str, Database] | None" = None,
         *,
         optimizer_level: Optional[int] = None,
-        cache_entries: Optional[int] = None,
-        cache_bytes: Optional[int] = None,
-        metrics: Optional[MetricsRegistry] = None,
         slow_query_log: Optional[SlowQueryLog] = None,
         slow_query_s: Optional[float] = None,
     ):
@@ -122,57 +135,34 @@ class ServiceEngine:
         #: (database name, query text) -> warm oracle; incrementally
         #: maintained on writes, selectively kept across re-registration.
         self._oracles: Dict[Tuple[str, str], HypotheticalDeletions] = {}
-        #: Versioned write handle per registered name (epoch + delta log
-        #: + maintained statistics).
+        #: Versioned write handle (snapshot + epoch) per registered name.
         self._versions: Dict[str, VersionedDatabase] = {}
-        #: How many times each name has been (re-)registered; version
-        #: tokens embed it so epochs never collide across registrations.
-        self._generations: Dict[str, int] = {}
         self._optimizer_level = optimizer_level
         self._closed = False
-        self._counters = {
-            "requests": 0,
-            "errors": 0,
-            "batch_calls": 0,
-            "batched_candidates": 0,
-            "deduped_candidates": 0,
-            # Witness-table builds behind the oracles this engine warmed
-            # (wall time and shape of the annotated evaluations).
-            "witness_builds": 0,
-            "witness_build_seconds": 0.0,
-            "witness_rows": 0,
-            "witness_count": 0,
-            # Write-path accounting: applied deltas and what happened to
-            # the warm oracles they touched.
-            "deltas_applied": 0,
-            "oracles_patched": 0,
-            "oracles_reused": 0,
-            "oracles_rebuilt": 0,
-        }
-        # Observability: the metrics registry the serving layers record to
-        # (defaults to the process-wide one), the per-request-kind latency
-        # histograms (created on first touch), and the slow-query log.
-        self._metrics = metrics if metrics is not None else default_registry()
+        # Observability: the registry every count lands in, the
+        # per-request-kind latency histograms (created on first touch),
+        # and the slow-query log.
+        self._metrics = default_registry()
         self._latency: Dict[str, object] = {}
         # Hot-path instruments resolved once: the registry accessor takes
         # its lock per lookup, which the per-request path should not pay.
-        self._m_requests = self._metrics.counter("service.requests")
-        self._m_errors = self._metrics.counter("service.errors")
-        self._m_warm_hits = self._metrics.counter("service.oracle.warm_hits")
-        self._m_cold_builds = self._metrics.counter("service.oracle.cold_builds")
+        m = self._metrics
+        self._m_requests = m.counter("service.requests")
+        self._m_errors = m.counter("service.errors")
+        self._m_warm_hits = m.counter("service.oracle.warm_hits")
+        self._m_cold_builds = m.counter("service.oracle.cold_builds")
+        self._m_batch_calls = m.counter("service.batch.calls")
+        self._m_batch_candidates = m.counter("service.batch.candidates")
+        self._m_batch_deduped = m.counter("service.batch.deduped")
+        self._m_deltas = m.counter("service.delta.applied")
+        self._m_patched = m.counter("service.delta.oracles_patched")
+        self._m_reused = m.counter("service.delta.oracles_reused")
+        self._m_rebuilt = m.counter("service.delta.oracles_rebuilt")
         if slow_query_log is None and slow_query_s is not None:
             slow_query_log = SlowQueryLog(threshold_s=slow_query_s)
         self._slow_log = slow_query_log
         self._started = time.time()
-        #: Extra stats() sections pulled live (the batcher self-registers
-        #: as "batcher" so a StatsRequest sees queue depth mid-traffic).
-        self._stats_sources: Dict[str, Callable[[], Dict[str, object]]] = {}
-        self._metrics.register_collector("provenance_cache", provenance_cache.stats)
-        if cache_entries is not None or cache_bytes is not None:
-            provenance_cache.set_capacity(
-                maxsize=cache_entries,
-                max_bytes=cache_bytes if cache_bytes is not None else ...,
-            )
+        m.register_collector("provenance_cache", provenance_cache.stats)
         for name, db in (databases or {}).items():
             self.register_database(name, db)
 
@@ -198,11 +188,7 @@ class ServiceEngine:
             if old_db is db:
                 return  # same snapshot: warm state and epoch both stand
             self._databases[name] = db
-            generation = self._generations.get(name, 0) + 1
-            self._generations[name] = generation
-            self._versions[name] = VersionedDatabase(
-                db, name=f"{name}@{generation}"
-            )
+            self._versions[name] = VersionedDatabase(db)
             for key in [k for k in self._oracles if k[0] == name]:
                 oracle = self._oracles[key]
                 query = self._queries.get(key[1])
@@ -222,7 +208,7 @@ class ServiceEngine:
                             "why", query, db, DEFAULT_VIEW_NAME, prov
                         )
                     self._oracles[key] = rebased
-                    self._counters["oracles_reused"] += 1
+                    self._m_reused.inc()
                 else:
                     del self._oracles[key]
             if old_db is not None and old_db is not db:
@@ -302,23 +288,9 @@ class ServiceEngine:
                 optimizer_level=self._optimizer_level,
                 store=self._column_store(db),
             )
-        prov = oracle.provenance
-        build_stats = (
-            getattr(prov.kernel, "build_stats", None) if prov is not None else None
-        )
         with self._lock:
             self._check_open()
-            winner = self._oracles.setdefault(key, oracle)
-            if winner is oracle and build_stats:
-                self._counters["witness_builds"] += 1
-                self._counters["witness_build_seconds"] += build_stats["seconds"]
-                self._counters["witness_rows"] += build_stats["rows"]
-                self._counters["witness_count"] += build_stats["witnesses"]
-        if winner is oracle and build_stats:
-            self._metrics.histogram("service.witness_build.seconds").observe(
-                build_stats["seconds"]
-            )
-        return winner
+            return self._oracles.setdefault(key, oracle)
 
     # ------------------------------------------------------------------
     # The write path
@@ -335,9 +307,8 @@ class ServiceEngine:
         """Apply a real write to the named database, maintaining warm state.
 
         ``deletions``/``inserts`` are ``(relation, row)`` pairs.  The
-        versioned handle normalizes them to the net delta, bumps the
-        epoch, and keeps statistics current; then every warm structure is
-        *patched*, not rebuilt:
+        versioned handle normalizes them to the net delta and bumps the
+        epoch; then every warm structure is *patched*, not rebuilt:
 
         * the columnar store grows an append/tombstone form sharing the
           old store's value pool and source index;
@@ -423,14 +394,10 @@ class ServiceEngine:
                     )
                 self._oracles[key] = new_oracle
             provenance_cache.invalidate_database(old_db)
-            self._counters["deltas_applied"] += 1
-            self._counters["oracles_patched"] += patched
-            self._counters["oracles_reused"] += reused
-            self._counters["oracles_rebuilt"] += rebuilt
-            self._metrics.counter("service.delta.applied").inc()
-            self._metrics.counter("service.delta.oracles_patched").inc(patched)
-            self._metrics.counter("service.delta.oracles_reused").inc(reused)
-            self._metrics.counter("service.delta.oracles_rebuilt").inc(rebuilt)
+            self._m_deltas.inc()
+            self._m_patched.inc(patched)
+            self._m_reused.inc(reused)
+            self._m_rebuilt.inc(rebuilt)
             return ApplyDeltaResponse(
                 epoch=delta.epoch,
                 deleted=len(delta.deletions),
@@ -451,27 +418,26 @@ class ServiceEngine:
         row value, a non-string database name) must answer an error, never
         take down the serving loop that called us.
 
-        Each request records its wall time into the per-kind latency
-        histogram (``service.latency.<kind>``), runs under a ``request``
-        trace span, and is noted in the slow-query log when it exceeds
-        the configured threshold.
+        Each request counts once in ``service.requests`` (and, when it
+        fails, in ``service.errors``), records its wall time into the
+        per-kind latency histogram (``service.latency.<kind>``), runs
+        under a ``request`` trace span, and is noted in the slow-query log
+        when it exceeds the configured threshold.  A hypothetical request
+        is recorded by :meth:`execute_hypothetical_batch`, the path the
+        batcher also takes, so it is recorded there and only there.
         """
-        with self._lock:
-            self._counters["requests"] += 1
-        self._m_requests.inc()
         kind = getattr(request, "kind", type(request).__name__)
+        if isinstance(request, HypotheticalRequest):
+            with _tracer.span("request", kind=kind):
+                return self._dispatch(request)
+        # Counted before dispatch: a stats request counts itself.
+        self._m_requests.inc()
         started = time.perf_counter()
         with _tracer.span("request", kind=kind):
             response = self._dispatch(request)
         elapsed = time.perf_counter() - started
-        if kind != "hypothetical":
-            # Hypothetical latency is recorded per candidate inside
-            # execute_hypothetical_batch — the batcher reaches it without
-            # passing through here, and this path would double-count.
-            self._latency_histogram(kind).observe(elapsed)
+        self._latency_histogram(kind).observe(elapsed)
         if not response.ok:
-            with self._lock:
-                self._counters["errors"] += 1
             self._m_errors.inc()
         slow_log = self._slow_log
         if slow_log is not None and kind not in ("stats", "health"):
@@ -633,20 +599,35 @@ class ServiceEngine:
         positionally aligned with ``deletion_sets`` and bit-identical to
         per-candidate :meth:`~repro.deletion.hypothetical.
         HypotheticalDeletions.view_after` calls.
+
+        This is where every hypothetical request is recorded, whether
+        :meth:`execute` or the batcher called: each candidate counts once
+        in ``service.requests`` (and in ``service.errors`` when the batch
+        raises) and once in the latency histogram at the batch's wall
+        time, and a slow batch is logged once.
         """
+        n = len(deletion_sets)
         started = time.perf_counter()
-        oracle = self.oracle(database, query_text)
-        distinct: Dict[FrozenSet[SourceTuple], int] = {}
-        order: List[FrozenSet[SourceTuple]] = []
-        for deletions in deletion_sets:
-            if deletions not in distinct:
-                distinct[deletions] = len(order)
-                order.append(deletions)
-        with self._lock:
-            self._counters["batch_calls"] += 1
-            self._counters["batched_candidates"] += len(deletion_sets)
-            self._counters["deduped_candidates"] += len(deletion_sets) - len(order)
-        answers = self._destroyed_vector(oracle, order)
+        ok = False
+        try:
+            oracle = self.oracle(database, query_text)
+            distinct: Dict[FrozenSet[SourceTuple], int] = {}
+            order: List[FrozenSet[SourceTuple]] = []
+            for deletions in deletion_sets:
+                if deletions not in distinct:
+                    distinct[deletions] = len(order)
+                    order.append(deletions)
+            self._m_batch_calls.inc()
+            self._m_batch_candidates.inc(n)
+            self._m_batch_deduped.inc(n - len(order))
+            answers = self._destroyed_vector(oracle, order)
+            ok = True
+        finally:
+            elapsed = time.perf_counter() - started
+            self._m_requests.inc(n)
+            if not ok:
+                self._m_errors.inc(n)
+            self._latency_histogram("hypothetical").observe(elapsed, n)
         view_size = len(oracle.rows)
         by_candidate = [
             HypotheticalResponse(
@@ -654,13 +635,6 @@ class ServiceEngine:
             )
             for answer in answers
         ]
-        # Every candidate in the batch experienced the batch's wall time;
-        # the batcher reaches this entry point without passing through
-        # execute(), so per-request hypothetical latency lands here.
-        elapsed = time.perf_counter() - started
-        hist = self._latency_histogram("hypothetical")
-        for _ in deletion_sets:
-            hist.observe(elapsed)
         slow_log = self._slow_log
         if slow_log is not None and elapsed >= slow_log.threshold_s:
             slow_log.note(
@@ -670,7 +644,7 @@ class ServiceEngine:
                 elapsed,
                 detail=dict(
                     self._slow_detail_for(database, query_text),
-                    batch=len(deletion_sets),
+                    batch=n,
                     distinct=len(order),
                 ),
             )
@@ -698,45 +672,45 @@ class ServiceEngine:
     # Introspection and lifecycle
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        """Request counters plus the shared cache stats.
+        """A digest of the registry's serving counts plus live sizes.
 
-        The answer is a **deep-copied snapshot**: mutating it, or the
-        engine serving more requests, never changes a dict already handed
-        out, and nested sections are never seen torn mid-update (pinned
-        by a regression test).
+        Every count is read from one registry snapshot (the single store;
+        see the module docstring), so the answer is a fresh dict that no
+        later request changes and nobody can mutate the engine through.
         """
-        with self._lock:
-            counters: Dict[str, object] = copy.deepcopy(self._counters)
-            counters["databases"] = len(self._databases)
-            counters["warm_oracles"] = len(self._oracles)
-            counters["columnar"] = HAVE_NUMPY
-            sources = dict(self._stats_sources)
-        counters["cache"] = copy.deepcopy(provenance_cache.stats())
-        for name, fn in sources.items():
-            try:
-                counters[name] = copy.deepcopy(dict(fn()))
-            except Exception as err:  # a dead source must not kill stats
-                counters[name] = {"error": f"{type(err).__name__}: {err}"}
-        return counters
+        return self._digest(self._metrics.snapshot())
 
-    def add_stats_source(
-        self, name: str, fn: Callable[[], Dict[str, object]]
-    ) -> None:
-        """Attach a live stats section pulled on every :meth:`stats` call.
-
-        The batcher registers itself as ``"batcher"`` so a mid-traffic
-        ``StatsRequest`` sees current queue depth and coalescing counts.
-        """
+    def _digest(self, snap: Dict[str, object]) -> Dict[str, object]:
+        counters = snap["counters"]
+        stats: Dict[str, object] = {
+            key: counters.get(name, 0) for key, name in _STATS_COUNTERS
+        }
         with self._lock:
-            self._stats_sources[name] = fn
+            stats["databases"] = len(self._databases)
+            stats["warm_oracles"] = len(self._oracles)
+        stats["columnar"] = HAVE_NUMPY
+        stats["cache"] = snap["collected"]["provenance_cache"]
+        # A batcher records into the same registry; its section appears
+        # once one has been built.
+        batches = snap["histograms"].get("batcher.batch_size")
+        if batches is not None:
+            stats["batcher"] = {
+                "pending": int(snap["gauges"].get("batcher.queue_depth", 0)),
+                "batches_issued": batches["count"],
+                "coalesced_requests": int(batches["sum"]) - batches["count"],
+                "expired": counters.get("batcher.expired", 0),
+                "overloads": counters.get("batcher.overload", 0),
+            }
+        return stats
 
     def _stats_response(self, request: StatsRequest) -> StatsResponse:
         if request.database:
             self.database(request.database)  # raises ServiceError if unknown
         slow = self._slow_log
+        snap = self._metrics.snapshot()
         return StatsResponse(
-            stats=self.stats(),
-            metrics=self._metrics.snapshot(),
+            stats=self._digest(snap),
+            metrics=snap,
             text=self._metrics.render_text() if request.format == "text" else "",
             slow_queries=tuple(slow.entries()) if slow is not None else (),
         )
@@ -780,7 +754,6 @@ class ServiceEngine:
             self._databases.clear()
             self._queries.clear()
             self._versions.clear()
-            self._generations.clear()
 
     def __enter__(self) -> "ServiceEngine":
         return self

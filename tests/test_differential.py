@@ -12,6 +12,11 @@ module checks each of them against the two oracles:
   for single candidates and for a vector long enough to take the
   vectorized kernel.
 
+A replay of write-heavy curator cycles (why, where, evaluate, a probe, an
+exact source deletion, a delete/re-insert write pair) runs twice through
+one engine, and every read answer must equal a cold engine's over a
+value-equal copy of the database: warm state must not depend on history.
+
 Every check runs before and after one ``apply_delta`` of mixed deletions
 and inserts, so the patched state (store, witness kernel, warm oracle) is
 held to the same oracles as a cold build; the long vector runs on both
@@ -43,12 +48,16 @@ from repro.oracle import interpret_view_rows, legacy_witnesses
 from repro.provenance import SourceIndex, provenance_cache
 from repro.provenance.bitset import VECTORIZED_MIN_BATCH
 from repro.service import (
+    DeleteRequest,
     EvaluateRequest,
     HypotheticalRequest,
     ServiceEngine,
+    WhereRequest,
     WhyRequest,
+    encode_response,
 )
-from repro.workloads import random_instance
+from repro.service.requests import ApplyDeltaRequest
+from repro.workloads import chain_workload, random_instance, sj_workload
 from repro.workloads.random_instances import _VALUE_POOL
 
 seeds = st.integers(min_value=0, max_value=100_000)
@@ -212,6 +221,102 @@ class TestExecutorsMatchOracles:
     @pytest.mark.parametrize("text", _ABSORPTION_QUERIES)
     def test_absorption_shapes(self, text, level):
         _run_differential(_absorption_db(), parse_query(text), level, random.Random(7))
+
+
+#: The two queries of a write-heavy curator session, an SJ query (a
+#: selection over a two-relation join) and a three-relation chain join,
+#: over one database holding both.
+_SJ_TEXT = "SELECT[A != C](R JOIN S)"
+_CHAIN_TEXT = "PROJECT[A1, A4](R1 JOIN R2 JOIN R3)"
+
+
+def _history_cycles(db, cycles, rng):
+    """Request cycles shaped like a curator's session.
+
+    Each cycle reads (why, where, evaluate), probes a hypothetical
+    deletion, solves an exact source-side deletion, then deletes a source
+    tuple, reads a row that survives it, and re-inserts the tuple, so
+    every cycle leaves the database as it found it.
+    """
+    queries = {t: parse_query(t) for t in (_SJ_TEXT, _CHAIN_TEXT)}
+    views = {
+        t: sorted(interpret_view_rows(q, db), key=repr) for t, q in queries.items()
+    }
+    sources = sorted(db.all_source_tuples(), key=repr)
+    chain_sources = [t for t in sources if t[0] in ("R1", "R2", "R3")]
+    out = []
+    for _ in range(cycles):
+        sj_row = rng.choice(views[_SJ_TEXT])
+        while True:
+            victim = rng.choice(sources)
+            text = _SJ_TEXT if victim[0] in ("R", "S") else _CHAIN_TEXT
+            after = sorted(
+                interpret_view_rows(queries[text], db.delete([victim])), key=repr
+            )
+            if after:
+                break
+        pair = frozenset({victim})
+        out.append(
+            [
+                WhyRequest("db", _SJ_TEXT, rng.choice(views[_SJ_TEXT])),
+                WhyRequest("db", _CHAIN_TEXT, rng.choice(views[_CHAIN_TEXT])),
+                WhereRequest("db", _SJ_TEXT, sj_row, rng.choice("ABC")),
+                EvaluateRequest("db", _CHAIN_TEXT),
+                HypotheticalRequest(
+                    "db",
+                    _CHAIN_TEXT,
+                    frozenset(rng.sample(chain_sources, rng.choice((1, 2)))),
+                ),
+                DeleteRequest(
+                    "db",
+                    _CHAIN_TEXT,
+                    rng.choice(views[_CHAIN_TEXT]),
+                    objective="source",
+                    exact=True,
+                ),
+                ApplyDeltaRequest("db", deletions=pair),
+                WhyRequest("db", text, rng.choice(after)),
+                ApplyDeltaRequest("db", inserts=pair),
+            ]
+        )
+    return out
+
+
+class TestWarmStateHasNoHistory:
+    """Warm answers equal cold ones, however many writes came before.
+
+    One engine serves every cycle twice; each read answer must equal, on
+    the wire, the answer of a cold engine over a value-equal copy of the
+    database at that moment.  The copy has its own identity, so no
+    identity-keyed cache entry of the warm engine can serve the cold one.
+    """
+
+    CYCLES = 16
+
+    def test_replayed_cycles_match_cold_engines(self):
+        sj_db, _, _ = sj_workload(60, seed=1)
+        chain_db, _, _ = chain_workload(3, 40, seed=1)
+        db = Database(list(sj_db.relations) + list(chain_db.relations))
+        cycles = _history_cycles(db, self.CYCLES, random.Random(1))
+        checked = 0
+        with ServiceEngine({"db": db}) as engine:
+            for _ in range(2):
+                for cycle in cycles:
+                    for request in cycle:
+                        answer = encode_response(engine.execute(request))
+                        assert answer["ok"], (request, answer)
+                        if isinstance(request, ApplyDeltaRequest):
+                            assert answer["deleted"] + answer["inserted"] == 1
+                            continue
+                        copy = Database(list(engine.database("db").relations))
+                        with ServiceEngine({"db": copy}) as cold:
+                            expected = encode_response(cold.execute(request))
+                        assert answer == expected, request
+                        checked += 1
+            assert {n: engine.database("db")[n].rows for n in db.names()} == {
+                n: db[n].rows for n in db.names()
+            }
+        assert checked == 2 * self.CYCLES * 7
 
 
 def _by_name(pairs):

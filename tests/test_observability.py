@@ -24,6 +24,7 @@ from repro.observability import (
     set_default_registry,
 )
 from repro.provenance.cache import ProvenanceCache
+from repro.service.requests import ApplyDeltaRequest
 from repro.service import (
     EvaluateRequest,
     HealthRequest,
@@ -34,6 +35,7 @@ from repro.service import (
     ServiceOverloadError,
     StatsRequest,
     StatsResponse,
+    WhereRequest,
     WhyRequest,
     decode_request,
     decode_response,
@@ -50,12 +52,20 @@ def db(usergroup_db):
 
 
 @pytest.fixture
-def engine(db):
-    # Each test gets a private registry so counter assertions are exact —
-    # nothing else in the process records into it.
-    with ServiceEngine(
-        {"db": db}, metrics=MetricsRegistry(), slow_query_s=0.0
-    ) as eng:
+def registry():
+    """A private process default registry for one test, so counter
+    assertions are exact: nothing else in the process records into it."""
+    fresh = MetricsRegistry()
+    displaced = set_default_registry(fresh)
+    try:
+        yield fresh
+    finally:
+        set_default_registry(displaced)
+
+
+@pytest.fixture
+def engine(db, registry):
+    with ServiceEngine({"db": db}, slow_query_s=0.0) as eng:
         yield eng
 
 
@@ -96,6 +106,17 @@ class TestMetrics:
         assert hist.quantile(0.5) >= 2e-6
         assert hist.quantile(0.99) >= 8e-6
         assert hist.count == 4 and hist.sum == pytest.approx(15e-6)
+
+    def test_observe_with_a_count_equals_repeated_observes(self):
+        batched = MetricsRegistry().histogram("h")
+        repeated = MetricsRegistry().histogram("h")
+        batched.observe(3e-6, 5)
+        for _ in range(5):
+            repeated.observe(3e-6)
+        assert batched.snapshot() == repeated.snapshot()
+        assert batched.count == 5 and batched.sum == pytest.approx(15e-6)
+        batched.observe(1.0, 0)  # zero observations record nothing
+        assert batched.snapshot() == repeated.snapshot()
 
     def test_empty_histogram_answers_none(self):
         hist = MetricsRegistry().histogram("empty")
@@ -366,7 +387,9 @@ class TestEngineObservability:
         snap = engine.metrics.snapshot()
         assert snap["counters"]["service.oracle.cold_builds"] == 1
         assert snap["counters"]["service.oracle.warm_hits"] == 1
-        assert snap["histograms"]["service.witness_build.seconds"]["count"] == 1
+        # The build is recorded once, by the kernel, in the same registry.
+        assert snap["histograms"]["provenance.witness_build_seconds"]["count"] == 1
+        assert "service.witness_build.seconds" not in snap["histograms"]
 
     def test_stats_request_answers_a_live_snapshot(self, engine):
         engine.execute(EvaluateRequest("db", QUERY))
@@ -398,8 +421,13 @@ class TestEngineObservability:
             "unknown-database"
         )
 
+    @pytest.mark.parametrize("knob", ["metrics", "cache_entries", "cache_bytes"])
+    def test_engine_has_no_second_store_knobs(self, db, knob):
+        with pytest.raises(TypeError):
+            ServiceEngine({"db": db}, **{knob: None})
+
     def test_health_reports_closed_engine(self, db):
-        engine = ServiceEngine({"db": db}, metrics=MetricsRegistry())
+        engine = ServiceEngine({"db": db})
         engine.close()
         assert engine._health_response(HealthRequest()).status == "closed"
 
@@ -437,6 +465,96 @@ class TestEngineObservability:
 
 
 # ----------------------------------------------------------------------
+# One record per request, whichever path served it
+# ----------------------------------------------------------------------
+class TestOneRecordPerRequest:
+    def test_slow_hypothetical_is_logged_once_through_execute(self, engine):
+        request = HypotheticalRequest("db", QUERY, frozenset())
+        assert engine.execute(request).ok
+        assert engine.execute(request).ok
+        entries = engine.slow_query_log.entries()
+        assert [e["kind"] for e in entries] == ["hypothetical"] * 2
+        assert engine.slow_query_log.total == 2
+        snap = engine.metrics.snapshot()
+        assert snap["counters"]["service.requests"] == 2
+        assert snap["histograms"]["service.latency.hypothetical"]["count"] == 2
+
+    def test_slow_hypotheticals_are_logged_once_per_batch(self, engine, db):
+        candidates = [frozenset({s}) for s in list(db.all_source_tuples())[:4]]
+        with MicroBatcher(engine, max_delay_s=0.05) as batcher:
+            futures = [
+                batcher.submit(HypotheticalRequest("db", QUERY, c))
+                for c in candidates
+            ]
+            assert all(f.result(timeout=10).ok for f in futures)
+            batches = batcher.stats()["batches_issued"]
+        entries = engine.slow_query_log.entries()
+        assert [e["kind"] for e in entries] == ["hypothetical"] * batches
+        assert sum(e["batch"] for e in entries) == len(candidates)
+
+    def test_batched_probes_count_as_requests(self, engine, db):
+        sources = sorted(db.all_source_tuples(), key=repr)
+        candidates = [frozenset({sources[i % len(sources)]}) for i in range(10)]
+        with MicroBatcher(engine, max_delay_s=0.05) as batcher:
+            futures = [
+                batcher.submit(HypotheticalRequest("db", QUERY, c))
+                for c in candidates
+            ]
+            futures.append(batcher.submit(EvaluateRequest("db", QUERY)))
+            assert all(f.result(timeout=10).ok for f in futures)
+        stats = engine.stats()
+        assert stats["batched_candidates"] == 10
+        assert stats["requests"] == 11
+        assert engine.metrics.counter("service.requests").value == 11
+        assert stats["errors"] == 0
+
+    def test_each_failed_answer_is_one_error_on_either_path(self, engine):
+        bad = HypotheticalRequest("nope", QUERY, frozenset())
+        assert not engine.execute(bad).ok
+        with MicroBatcher(engine, max_delay_s=0.05) as batcher:
+            futures = [batcher.submit(bad) for _ in range(3)]
+            futures.append(batcher.submit(EvaluateRequest("nope", QUERY)))
+            assert not any(f.result(timeout=10).ok for f in futures)
+        stats = engine.stats()
+        assert stats["requests"] == stats["errors"] == 5
+
+    def test_a_batch_and_a_write_move_every_key_perfbench_reads(self, engine, db):
+        """perfbench turns a missing stats key into 0, so a key that
+        stopped moving would zero a per-layer number without an error."""
+        source = sorted(db.all_source_tuples(), key=repr)[0]
+        with MicroBatcher(engine, max_delay_s=0.05) as batcher:
+            assert batcher.request(HypotheticalRequest("db", QUERY, frozenset())).ok
+            before = engine.stats()
+            futures = [
+                batcher.submit(HypotheticalRequest("db", QUERY, frozenset({source})))
+                for _ in range(3)
+            ]
+            assert all(f.result(timeout=10).ok for f in futures)
+            assert engine.execute(WhyRequest("db", QUERY, ("joe", "f1"))).ok
+            assert engine.execute(EvaluateRequest("db", QUERY)).ok
+            assert batcher.request(
+                ApplyDeltaRequest("db", deletions=frozenset({source}))
+            ).ok
+            assert engine.execute(WhyRequest("db", QUERY, ("joe", "f2"))).ok
+            # A displaced snapshot's where-provenance is a cold miss, and
+            # a first-seen query a plan miss.
+            assert engine.execute(WhereRequest("db", QUERY, ("joe", "f2"), "file")).ok
+            assert engine.execute(EvaluateRequest("db", "PROJECT[user](UserGroup)")).ok
+            after = engine.stats()
+        moved = {
+            "batch_calls": after["batch_calls"] - before["batch_calls"],
+            "batched_candidates": (
+                after["batched_candidates"] - before["batched_candidates"]
+            ),
+            "oracles_patched": after["oracles_patched"] - before["oracles_patched"],
+        }
+        for key in ("hits", "misses", "plan_hits", "plan_misses", "invalidations"):
+            moved["cache." + key] = after["cache"][key] - before["cache"][key]
+        assert all(delta > 0 for delta in moved.values()), sorted(moved.items())
+        assert "oracles_rebuilt" in after
+
+
+# ----------------------------------------------------------------------
 # Satellite 1: stats() is a deep-copied snapshot
 # ----------------------------------------------------------------------
 class TestStatsSnapshotIsolation:
@@ -457,16 +575,13 @@ class TestStatsSnapshotIsolation:
         assert engine.stats()["requests"] == 2
 
     def test_batcher_section_appears_via_stats_source(self, engine):
+        assert "batcher" not in engine.stats()  # no batcher has run yet
         with MicroBatcher(engine) as batcher:
             future = batcher.submit(HypotheticalRequest("db", QUERY, frozenset()))
             assert future.result(timeout=10).ok
             section = engine.stats()["batcher"]
-        assert section["batches_issued"] >= 1
+        assert section["batches_issued"] == 1
         assert {"pending", "expired", "overloads"} <= set(section)
-
-    def test_a_dead_stats_source_reports_instead_of_raising(self, engine):
-        engine.add_stats_source("dead", lambda: 1 / 0)
-        assert "ZeroDivisionError" in engine.stats()["dead"]["error"]
 
 
 # ----------------------------------------------------------------------
@@ -481,8 +596,6 @@ class TestCacheResetStats:
         cache.get_or_compute("why", query, db, "view", lambda: "v")  # hit
         cache.plan_for(query, db)  # plan miss
         cache.plan_for(query, db)  # plan hit
-        cache.note_witness_build(0.25, rows=10, witnesses=4)
-        cache.note_version_bump()
         other = Database([Relation("R", ["A"], [(1,)])])
         cache.get_or_compute("why", query, other, "view", lambda: "w")
         assert cache.invalidate_database(other) == 1
@@ -492,12 +605,7 @@ class TestCacheResetStats:
             "misses",
             "plan_hits",
             "plan_misses",
-            "witness_builds",
-            "witness_build_seconds",
-            "witness_rows",
-            "witness_count",
             "invalidations",
-            "version_bumps",
         ):
             assert before[key] > 0, key
         cache.reset_stats()
@@ -509,12 +617,7 @@ class TestCacheResetStats:
             "plan_hits",
             "plan_misses",
             "plan_evictions",
-            "witness_builds",
-            "witness_build_seconds",
-            "witness_rows",
-            "witness_count",
             "invalidations",
-            "version_bumps",
         ):
             assert after[key] == 0, key
         # Entries and plans survive: reset_stats zeroes counters only.

@@ -393,19 +393,11 @@ class TestCacheCounters:
             "misses": 0,
             "size": 0,
             "evictions": 0,
-            "approx_bytes": 0,
-            "bytes_high_water": 0,
-            "max_bytes": None,
             "plan_hits": 0,
             "plan_misses": 0,
             "plan_size": 0,
             "plan_evictions": 0,
-            "witness_builds": 0,
-            "witness_build_seconds": 0.0,
-            "witness_rows": 0,
-            "witness_count": 0,
             "invalidations": 0,
-            "version_bumps": 0,
         }
 
     def test_reset_stats_keeps_entries(self):

@@ -30,6 +30,7 @@ from repro.provenance import (
     provenance_cache,
     iter_bits,
 )
+from repro.observability import default_registry
 from repro.oracle import legacy_witnesses
 from repro.service import HypotheticalRequest, ServiceEngine
 from repro.workloads import random_instance
@@ -292,19 +293,23 @@ class TestBuildCounters:
     @pytest.mark.requires_numpy
     def test_build_stats_and_cache_counters(self):
         db, query = random_instance(31, max_depth=3)
-        provenance_cache.clear()
-        base = provenance_cache.stats()
+        metrics = default_registry()
+        builds = metrics.histogram("provenance.witness_build_seconds")
+        rows = metrics.counter("provenance.witness_rows")
+        witnesses = metrics.counter("provenance.witnesses")
+        base = (builds.count, builds.sum, rows.value, witnesses.value)
         store = ColumnStore(db)
         prov = bitset_why_provenance(query, db, store=store)
         stats = prov.build_stats
         assert stats["path"] == "columnar-csr"
         assert stats["rows"] == len(prov)
         assert stats["seconds"] >= 0.0
-        after = provenance_cache.stats()
-        assert after["witness_builds"] == base["witness_builds"] + 1
-        assert after["witness_rows"] == base["witness_rows"] + stats["rows"]
-        assert after["witness_count"] == base["witness_count"] + stats["witnesses"]
-        assert after["witness_build_seconds"] >= base["witness_build_seconds"]
+        # Each build is recorded once, in the registry only.
+        assert builds.count == base[0] + 1
+        assert builds.sum >= base[1]
+        assert rows.value == base[2] + stats["rows"]
+        assert witnesses.value == base[3] + stats["witnesses"]
+        assert "witness_builds" not in provenance_cache.stats()
         tuple_prov = bitset_why_provenance(query, db)
         assert tuple_prov.build_stats["path"] == "tuple"
 
@@ -312,13 +317,16 @@ class TestBuildCounters:
         provenance_cache.clear()
         with ServiceEngine({"db": usergroup_db}) as engine:
             query = "PROJECT[user, file](UserGroup JOIN GroupFile)"
+            before = engine.metrics.snapshot()
             engine.execute(HypotheticalRequest("db", query, frozenset()))
-            stats = engine.stats()
-            assert stats["witness_builds"] >= 1
-            assert stats["witness_rows"] >= 1
-            assert stats["witness_count"] >= 1
-            assert stats["witness_build_seconds"] >= 0.0
-            assert stats["cache"]["witness_builds"] >= 1
+            after = engine.metrics.snapshot()
+        name = "provenance.witness_build_seconds"
+        assert (
+            after["histograms"][name]["count"]
+            == before["histograms"].get(name, {"count": 0})["count"] + 1
+        )
+        for counter in ("provenance.witness_rows", "provenance.witnesses"):
+            assert after["counters"][counter] > before["counters"].get(counter, 0)
 
 
 class TestPointLookups:
