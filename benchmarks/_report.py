@@ -3,7 +3,11 @@
 Each benchmark regenerates one of the paper's tables or figures.  Besides
 the pytest-benchmark timing table, every harness writes a plain-text report
 to ``benchmarks/reports/<name>.txt`` containing the regenerated rows — these
-artifacts are what EXPERIMENTS.md references as "measured".
+artifacts are what EXPERIMENTS.md references as "measured".  A harness run
+with ``--json`` elsewhere than the repository's ``BENCH_plan.json`` (the CI
+perf gate writes a scratch file) puts its report in a ``reports/``
+directory beside that json instead, so a gate run leaves the tracked
+reports untouched.
 """
 
 from __future__ import annotations
@@ -14,7 +18,10 @@ from typing import Callable, List, Sequence
 
 import pytest
 
-REPORT_DIR = os.path.join(os.path.dirname(__file__), "reports")
+REPORT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reports")
+REPO_PLAN_JSON = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_plan.json"
+)
 
 
 def smoke(*values: object) -> object:
@@ -28,13 +35,25 @@ def smoke(*values: object) -> object:
     return pytest.param(*values, marks=pytest.mark.bench_smoke)
 
 
-def write_report(name: str, lines: Sequence[str]) -> str:
+def report_dir(json_path: "str | None" = None) -> str:
+    """``benchmarks/reports/`` for the repository's ``BENCH_plan.json`` (or
+    no json), else a ``reports/`` directory beside ``json_path``."""
+    if json_path is None or os.path.abspath(json_path) == REPO_PLAN_JSON:
+        return REPORT_DIR
+    return os.path.join(os.path.dirname(os.path.abspath(json_path)), "reports")
+
+
+def write_report(
+    name: str, lines: Sequence[str], json_path: "str | None" = None
+) -> str:
     """Write a report file and echo its content to stdout.
 
-    Returns the path written.
+    ``json_path`` is the harness's ``--json`` file; it picks the report
+    directory (:func:`report_dir`).  Returns the path written.
     """
-    os.makedirs(REPORT_DIR, exist_ok=True)
-    path = os.path.join(REPORT_DIR, f"{name}.txt")
+    directory = report_dir(json_path)
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, f"{name}.txt")
     text = "\n".join(lines) + "\n"
     with open(path, "w") as handle:
         handle.write(text)

@@ -224,7 +224,7 @@ def _emit(
         f"provenance cache during the run: {provenance_cache.stats()}",
         f"json: {json_path} (key: columnar)",
     ]
-    write_report("columnar", lines)
+    write_report("columnar", lines, json_path)
     return section
 
 

@@ -241,7 +241,7 @@ def _emit(
         f"provenance cache during the run: {provenance_cache.stats()}",
         f"json: {json_path} (key: maintenance)",
     ]
-    write_report("maintenance", lines)
+    write_report("maintenance", lines, json_path)
     return section
 
 

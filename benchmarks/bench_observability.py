@@ -305,7 +305,7 @@ def _emit(
         f"slow queries seen {probe['slow_queries_seen']}",
         f"json: {json_path} (key: observability)",
     ]
-    write_report("observability", lines)
+    write_report("observability", lines, json_path)
     return section
 
 

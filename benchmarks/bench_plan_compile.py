@@ -198,7 +198,7 @@ def _emit(
         f"{data['compile_median_speedup']:.1f}x",
         f"json: {json_path}",
     ]
-    write_report("plan_compile", lines)
+    write_report("plan_compile", lines, json_path)
     return data
 
 

@@ -483,7 +483,7 @@ def _emit(
         f"provenance cache during the run: {provenance_cache.stats()}",
         f"json: {json_path} (key: service)",
     ]
-    write_report("service", lines)
+    write_report("service", lines, json_path)
     return section
 
 

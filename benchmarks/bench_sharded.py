@@ -201,7 +201,7 @@ def _emit(
         f"provenance cache during the run: {provenance_cache.stats()}",
         f"json: {json_path} (key: sharded)",
     ]
-    write_report("sharded", lines)
+    write_report("sharded", lines, json_path)
     return section
 
 

@@ -259,7 +259,7 @@ def _emit(
         f"provenance cache during the run: {provenance_cache.stats()}",
         f"json: {json_path} (key: witness)",
     ]
-    write_report("witness", lines)
+    write_report("witness", lines, json_path)
     return section
 
 

@@ -19,7 +19,9 @@ Three modes:
   ``bench_maintenance.py`` + ``bench_observability.py``), then fail if
   any tracked
   median regressed more than 25% against the committed baseline (normally
-  the repository's ``BENCH_plan.json``).  Most medians are speedup
+  the repository's ``BENCH_plan.json``).  The harnesses' reports go to a
+  ``reports/`` directory beside the scratch file, so a gate run leaves the
+  tracked ``benchmarks/reports/`` as it found them.  Most medians are speedup
   *ratios* measured baseline-vs-new on the same machine, so they transfer
   across hosts far better than absolute timings;
   ``service.median_throughput_batched`` is requests/second — absolute, so

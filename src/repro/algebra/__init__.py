@@ -36,11 +36,6 @@ from repro.algebra.optimizer import (
     OptimizationResult,
     optimize,
 )
-from repro.algebra.stats import (
-    TableStatistics,
-    estimate_query,
-    stats_version,
-)
 from repro.algebra.classify import (
     assert_normal_form,
     chain_join_order,
@@ -111,9 +106,6 @@ __all__ = [
     "DEFAULT_OPTIMIZER_LEVEL",
     "OptimizationResult",
     "optimize",
-    "TableStatistics",
-    "estimate_query",
-    "stats_version",
     # classification
     "query_class",
     "uses_only",

@@ -1,9 +1,9 @@
 """Rule-based logical plan rewrites for the staged query compiler.
 
-:func:`repro.algebra.plan.compile_plan` is a staged pipeline: statistics
-(:mod:`repro.algebra.stats`) feed this module's **logical rewriter**, whose
-output the unchanged physical planner compiles (with Filter/Project fusion
-into scans).  The rewriter is a classical rule engine: each rule is a small
+:func:`repro.algebra.plan.compile_plan` is a staged pipeline: this
+module's **logical rewriter** reads the catalog (schemas, never rows), and
+the physical planner compiles its output (with Filter/Project fusion into
+scans).  The rewriter is a classical rule engine: each rule is a small
 class with an ``apply(node, ctx) -> node | None`` interface, and a fixpoint
 driver applies a rule set bottom-up until nothing fires.
 
@@ -13,10 +13,15 @@ pushdown and projection pruning invert each other when interleaved):
 1. **selection pushdown** — merge stacked selections, push selections
    through Project/Rename/Union and into the narrower side of a Join
    (conjunct by conjunct), so filters run as close to the scans as possible;
-2. **join reordering** — each maximal join bush (``flatten_join``) is
-   rebuilt as a left-deep chain in greedy order of estimated output size
-   (:func:`~repro.algebra.stats.estimate_query`); a permutation projection
-   restores the original attribute order when the reorder changed it;
+2. **join reordering** — each maximal join bush (``flatten_join``) of three
+   or more leaves is rebuilt as a left-deep chain in *connectivity order*:
+   the first leaf as written, then always the first remaining leaf that
+   shares an attribute with what is joined so far (the first remaining
+   leaf when none does, since that cross product is unavoidable); a
+   permutation projection restores the original attribute order when the
+   reorder changed it.  Provenance is positional over source tuples, so
+   join order changes no answer, only the size of the intermediates; the
+   pass avoids every avoidable cross product and reads no statistics;
 3. **projection pruning** — insert projections that drop every column no
    ancestor needs (below joins, selections, renamings, and through unions),
    so intermediate results carry only live columns.
@@ -32,13 +37,12 @@ location on randomized SPJRU workloads.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra.ast import (
     Join,
     Project,
     Query,
-    RelationRef,
     Rename,
     Select,
     Union,
@@ -46,7 +50,6 @@ from repro.algebra.ast import (
 from repro.algebra.classify import flatten_join
 from repro.algebra.predicates import And, Predicate, TruePredicate, conjoin
 from repro.algebra.schema import Schema
-from repro.algebra.stats import Estimate, TableStatistics, estimate_query
 
 __all__ = [
     "DEFAULT_OPTIMIZER_LEVEL",
@@ -68,43 +71,19 @@ _MAX_PASSES = 100
 
 
 class RewriteContext:
-    """What the rules may consult: the catalog, statistics, and a trace.
+    """What the rules may consult: the catalog, and a trace of firings."""
 
-    ``stats`` may be a :class:`TableStatistics`, a zero-argument callable
-    producing one, or ``None``.  Statistics are materialized lazily, on the
-    first cardinality estimate — collecting them walks every row of the
-    referenced relations, and most rewrites (pushdown, pruning) never need
-    them.
-    """
+    __slots__ = ("catalog", "applied", "changed")
 
-    __slots__ = ("catalog", "applied", "changed", "_stats_source", "_stats")
-
-    def __init__(
-        self,
-        catalog: Mapping[str, Schema],
-        stats: "TableStatistics | Callable[[], TableStatistics] | None" = None,
-    ):
+    def __init__(self, catalog: Mapping[str, Schema]):
         self.catalog = catalog
         self.applied: List[str] = []
         #: Set by the fixpoint driver whenever a rule fires during a pass.
         self.changed = False
-        self._stats_source = stats
-        self._stats = stats if isinstance(stats, TableStatistics) else None
-
-    @property
-    def stats(self) -> TableStatistics:
-        if self._stats is None:
-            source = self._stats_source
-            self._stats = source() if callable(source) else TableStatistics()
-        return self._stats
 
     def schema(self, node: Query) -> Schema:
         """The node's output schema (trees are small; recompute freely)."""
         return node.output_schema(self.catalog)
-
-    def estimate(self, node: Query) -> Estimate:
-        """Estimated cardinality of ``node`` under the context statistics."""
-        return estimate_query(node, self.catalog, self.stats)
 
     def record(self, rule_name: str) -> None:
         self.applied.append(rule_name)
@@ -394,7 +373,7 @@ class PruneRenameColumns(Rule):
 
 
 # ----------------------------------------------------------------------
-# Pass 2: greedy join reordering
+# Pass 2: connectivity join reordering
 # ----------------------------------------------------------------------
 
 _REORDER_RULE_NAME = "reorder-joins"
@@ -409,73 +388,33 @@ def _rebuild_join(original: Query, leaves: "List[Query]") -> Query:
     return leaves.pop(0)
 
 
-def _joined_rows_estimate(
-    left: Estimate,
-    left_attrs: frozenset,
-    right: Estimate,
-    right_attrs: frozenset,
-) -> float:
-    rows = left.rows * right.rows
-    for attribute in left_attrs & right_attrs:
-        rows /= max(left.distinct_of(attribute), right.distinct_of(attribute))
-    return rows
-
-
-def _merge_estimates(
-    left: Estimate, right: Estimate, rows: float
-) -> Estimate:
-    distinct: Dict[str, float] = dict(left.distinct)
-    for attribute, d in right.distinct.items():
-        distinct[attribute] = (
-            min(distinct[attribute], d) if attribute in distinct else d
-        )
-    return Estimate(rows, distinct)
-
-
-def _greedy_join_order(
-    estimates: Sequence[Estimate], attr_sets: Sequence[frozenset]
-) -> List[int]:
-    """Leaf indices in greedy order: start smallest, then always join the
-    leaf minimizing the estimated intermediate size (ties: input order)."""
-    remaining = list(range(len(estimates)))
-    start = min(remaining, key=lambda i: (estimates[i].rows, i))
-    remaining.remove(start)
-    order = [start]
-    current = estimates[start]
-    current_attrs = attr_sets[start]
+def _connectivity_order(attr_sets: Sequence[frozenset]) -> List[int]:
+    """Leaf indices: the first leaf, then always the first remaining leaf
+    sharing an attribute with those already joined (or, when none does,
+    the first remaining leaf — the cross product is unavoidable)."""
+    order = [0]
+    joined = attr_sets[0]
+    remaining = list(range(1, len(attr_sets)))
     while remaining:
-        best = min(
-            remaining,
-            key=lambda i: (
-                _joined_rows_estimate(
-                    current, current_attrs, estimates[i], attr_sets[i]
-                ),
-                i,
-            ),
-        )
-        remaining.remove(best)
-        rows = _joined_rows_estimate(
-            current, current_attrs, estimates[best], attr_sets[best]
-        )
-        current = _merge_estimates(current, estimates[best], rows)
-        current_attrs = current_attrs | attr_sets[best]
-        order.append(best)
+        pick = next((i for i in remaining if attr_sets[i] & joined), remaining[0])
+        remaining.remove(pick)
+        order.append(pick)
+        joined = joined | attr_sets[pick]
     return order
 
 
 def _reorder_bush(node: Join, ctx: RewriteContext) -> Query:
-    """Reorder one maximal join bush greedily by estimated output size."""
+    """Reorder one maximal join bush into connectivity order."""
     original = flatten_join(node)
     leaves = [_reorder_pass(leaf, ctx) for leaf in original]
     untouched = all(new is old for new, old in zip(leaves, original))
     if len(leaves) < 3:
         # A two-operand join has nothing to reorder: both sides are
         # iterated once either way, and swapping would only add a
-        # permutation projection (and force statistics collection).
+        # permutation projection.
         return node if untouched else _rebuild_join(node, list(leaves))
-    estimates = [ctx.estimate(leaf) for leaf in leaves]
     attr_sets = [frozenset(ctx.schema(leaf).attributes) for leaf in leaves]
-    order = _greedy_join_order(estimates, attr_sets)
+    order = _connectivity_order(attr_sets)
     if order == list(range(len(leaves))):
         return node if untouched else _rebuild_join(node, list(leaves))
     reordered: Query = leaves[order[0]]
@@ -559,7 +498,6 @@ def _fixpoint(query: Query, rules: Sequence[Rule], ctx: RewriteContext) -> Query
 def optimize(
     query: Query,
     catalog: Mapping[str, Schema],
-    stats: "TableStatistics | Callable[[], TableStatistics] | None" = None,
     level: int = DEFAULT_OPTIMIZER_LEVEL,
 ) -> OptimizationResult:
     """Rewrite ``query`` through the staged rule pipeline.
@@ -567,15 +505,14 @@ def optimize(
     ``level`` 0 returns the query unchanged; any higher level runs all
     three passes — each skipped outright when the query lacks the operator
     the pass targets (no selections → no pushdown, no joins → no
-    reordering, no projections → no pruning).  ``stats`` may be a
-    :class:`TableStatistics` or a lazy callable producing one (see
-    :class:`RewriteContext`).  ``query`` must already be well-typed over
+    reordering, no projections → no pruning).  ``query`` must already be
+    well-typed over
     ``catalog`` (:func:`repro.algebra.plan.compile_plan` validates before
     optimizing).
     """
     if level <= 0:
         return OptimizationResult(query, ())
-    ctx = RewriteContext(catalog, stats)
+    ctx = RewriteContext(catalog)
     operators = query.operators()
     rewritten = query
     if "S" in operators:

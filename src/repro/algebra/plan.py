@@ -10,8 +10,8 @@ those two costs:
 * :func:`compile_plan` is a **staged compiler**: it validates the query
   tree once against a catalog (relation name →
   :class:`~repro.algebra.schema.Schema`), optionally rewrites it through
-  the statistics-driven rule pipeline of :mod:`repro.algebra.optimizer`
-  (selection pushdown, greedy join reordering, projection pruning), and
+  the rule pipeline of :mod:`repro.algebra.optimizer` (selection
+  pushdown, connectivity join reordering, projection pruning), and
   produces a tree of physical operator nodes — :class:`ScanOp`,
   :class:`FilterOp`, :class:`ProjectOp`, :class:`HashJoinOp`,
   :class:`UnionOp`, :class:`RenameOp` — with all schema resolution,
@@ -842,7 +842,6 @@ def compile_plan(
     query: Query,
     catalog: Mapping[str, Schema],
     optimizer_level: int = 0,
-    stats: "object | None" = None,
 ) -> CompiledPlan:
     """Compile ``query`` against ``catalog`` into a :class:`CompiledPlan`.
 
@@ -858,23 +857,20 @@ def compile_plan(
        validates, so error precedence matches the old bottom-up
        interpreters — at every optimizer level.
     2. *logical rewriting* (``optimizer_level >= 1``) — the rule pipeline
-       of :mod:`repro.algebra.optimizer` (selection pushdown, greedy join
-       reordering driven by ``stats``, projection pruning) rewrites the
-       validated tree.
+       of :mod:`repro.algebra.optimizer` (selection pushdown, connectivity
+       join reordering, projection pruning) rewrites the validated tree.
+       It reads the catalog's schemas only, so the plan depends on the
+       query, the schemas and the level, never on the rows.
     3. *physical planning with fusion* — the rewritten tree is compiled
        with Filter/Project fusion into :class:`ScanOp` (residual
        predicates and column masks).
 
-    ``stats`` is an optional :class:`repro.algebra.stats.TableStatistics`;
-    without it the optimizer falls back to uniform default cardinalities
-    (pushdown and pruning still apply; join reordering degrades to
-    avoiding cross products).  Level 0 is byte-for-byte the historical
-    single-shot compiler.
+    Level 0 is byte-for-byte the historical single-shot compiler.
     """
     if optimizer_level <= 0:
         return CompiledPlan(query, _compile(query, catalog))
     _validate(query, catalog)  # same errors, same order, no throwaway tree
-    result = optimize(query, catalog, stats=stats, level=optimizer_level)
+    result = optimize(query, catalog, level=optimizer_level)
     return CompiledPlan(
         query,
         _compile(result.query, catalog, fuse=True),

@@ -81,7 +81,6 @@ from repro.errors import ParseError, ReproError
 from repro.algebra import (
     Database,
     Relation,
-    TableStatistics,
     compile_plan,
     evaluate,
     is_normal_form,
@@ -224,11 +223,7 @@ def _cmd_plan(args: argparse.Namespace) -> None:
     db = load_database(args.database)
     query = _parse_query_cli(args.query)
     catalog = {name: db[name].schema for name in db}
-    if args.optimize:
-        stats = TableStatistics.from_database(db, sorted(query.relation_names()))
-        plan = compile_plan(query, catalog, optimizer_level=1, stats=stats)
-    else:
-        plan = compile_plan(query, catalog)
+    plan = compile_plan(query, catalog, optimizer_level=int(args.optimize))
     print(f"output schema: ({', '.join(plan.schema.attributes)})")
     print("logical plan (input):")
     print(render_query_tree(query, "  "))
@@ -553,8 +548,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--optimize",
         default=True,
         action=argparse.BooleanOptionalAction,
-        help="run the statistics-driven logical rewriter (default: on; "
-        "--no-optimize compiles the query exactly as written)",
+        help="run the logical rewriter: selection pushdown, connectivity "
+        "join order, projection pruning (default: on; --no-optimize "
+        "compiles the query exactly as written)",
     )
     p_plan.set_defaults(handler=_cmd_plan)
 

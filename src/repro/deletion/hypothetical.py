@@ -63,7 +63,6 @@ class HypotheticalDeletions:
         "_plan",
         "_prov",
         "_baseline",
-        "_optimizer_level",
     )
 
     def __init__(
@@ -72,12 +71,11 @@ class HypotheticalDeletions:
         db: Database,
         prov: Optional[WhyProvenance] = None,
         use_provenance: bool = True,
-        optimizer_level: Optional[int] = None,
         store: "object | None" = None,
     ):
         self._query = query
         self._db = db
-        self._plan: CompiledPlan = cached_plan(query, db, optimizer_level)
+        self._plan: CompiledPlan = cached_plan(query, db)
         if prov is None and use_provenance:
             try:
                 prov = cached_why_provenance(query, db, store=store)
@@ -85,7 +83,6 @@ class HypotheticalDeletions:
                 prov = None  # refused as exponential: compiled-plan fallback
         self._prov = prov
         self._baseline: Optional[FrozenSet[Row]] = None
-        self._optimizer_level = optimizer_level
 
     # ------------------------------------------------------------------
     # Structure
@@ -186,7 +183,6 @@ class HypotheticalDeletions:
             db,
             prov=prov,
             use_provenance=prov is not None,
-            optimizer_level=self._optimizer_level,
         )
         if keep_baseline:
             rebased._baseline = self._baseline

@@ -420,7 +420,6 @@ class BitsetProvenance:
         inserted_by_name: "Dict[str, Iterable[Row]] | None" = None,
         query: "Query | None" = None,
         plan: "CompiledPlan | None" = None,
-        optimizer_level: "int | None" = None,
         store: "object | None" = None,
     ) -> "BitsetProvenance":
         """A new kernel reflecting a delta, without a from-scratch rebuild.
@@ -484,10 +483,10 @@ class BitsetProvenance:
             # The delta decomposition below is only sound when the query
             # is linear in each inserted relation (a self-join mixes old
             # and delta rows inside one witness).
-            return self._reannotate(query, new_db, plan, optimizer_level, store)
+            return self._reannotate(query, new_db, plan, store)
 
         if plan is None:
-            plan = cached_plan(query, new_db, optimizer_level)
+            plan = cached_plan(query, new_db)
         use_store = store is not None and store.matches(new_db)
         names = sorted(inserted)
         try:
@@ -531,7 +530,7 @@ class BitsetProvenance:
                         plan.annotated_rows(branch_db, self._index)
                     )
         except ExponentialGuardError:
-            return self._reannotate(query, new_db, plan, optimizer_level, store)
+            return self._reannotate(query, new_db, plan, store)
 
         # Merge the branch contributions: only rows the delta actually
         # touched are decoded/re-minimized, and they splice back into the
@@ -575,7 +574,6 @@ class BitsetProvenance:
         query: Query,
         new_db: Database,
         plan: "CompiledPlan | None",
-        optimizer_level: "int | None",
         store: "object | None" = None,
     ) -> "BitsetProvenance":
         """Full re-annotation over ``new_db`` on the shared index.
@@ -592,7 +590,6 @@ class BitsetProvenance:
             self._view_name,
             index=self._index,
             plan=plan,
-            optimizer_level=optimizer_level,
             store=store,
         )
 

@@ -36,18 +36,14 @@ Keying and invalidation rules:
   same key wait for the claim to resolve and count as hits.
 
 The cache also memoizes **compiled physical plans**
-(:func:`repro.algebra.plan.compile_plan`).  An *unoptimized* plan depends
-only on the query and the *schemas* of the relations it references; an
-*optimized* plan additionally depends on the optimizer level and on the
-table statistics the rewriter consulted.  The plan memo therefore keys on
-``(id(query), schema signature, optimizer level, stats version)``, where
-the stats version buckets per-relation row counts by powers of two
-(:func:`repro.algebra.stats.stats_version`): hypothetical databases
-produced by ``Database.delete`` differ by a handful of rows, keep their
-bucket, and so keep hitting one compiled plan — while a database whose
-cardinalities drifted by ~2× or more can never be served a plan optimized
-for stale statistics.  Optimized and unoptimized plans for the same query
-coexist under distinct keys.
+(:func:`repro.algebra.plan.compile_plan`).  A plan depends only on the
+query, the *schemas* of the relations it references, and the optimizer
+level: the optimizer reads schemas, never rows.  The plan memo therefore
+keys on ``(id(query), schema signature, optimizer level)``, so every
+snapshot a write produces, and every hypothetical database
+``Database.delete`` derives, reuses one compiled plan whatever its row
+counts.  Optimized and unoptimized plans for the same query coexist under
+distinct keys.
 """
 
 from __future__ import annotations
@@ -60,7 +56,6 @@ from repro.algebra.ast import Query
 from repro.algebra.optimizer import DEFAULT_OPTIMIZER_LEVEL
 from repro.algebra.plan import CompiledPlan, DEFAULT_VIEW_NAME, compile_plan
 from repro.algebra.relation import Database
-from repro.algebra.stats import TableStatistics, stats_version
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.provenance.where import WhereProvenance
@@ -76,6 +71,15 @@ __all__ = [
 
 #: (kind, id(query), id(db), view_name)
 _Key = Tuple[str, int, int, str]
+
+
+def _plan_key(query: Query, db: Database, level: int) -> Tuple:
+    """``(id(query), schema signature, level)``: the plan-memo key."""
+    signature = tuple(
+        (name, db[name].schema.attributes if name in db else None)
+        for name in sorted(query.relation_names())
+    )
+    return (id(query), signature, level)
 
 
 class ProvenanceCache:
@@ -118,9 +122,9 @@ class ProvenanceCache:
         self._evictions = 0
         #: Entries dropped because the write path displaced their database.
         self._invalidations = 0
-        #: (id(query), schema signature, optimizer level, stats version) ->
-        #: plan; CompiledPlan.query keeps the query alive, so its id is
-        #: never recycled while the entry lives.
+        #: (id(query), schema signature, optimizer level) -> plan;
+        #: CompiledPlan.query keeps the query alive, so its id is never
+        #: recycled while the entry lives.
         self._plans: "OrderedDict[Tuple[int, Tuple], CompiledPlan]" = (
             OrderedDict()
         )
@@ -250,8 +254,7 @@ class ProvenanceCache:
         in: entries for the displaced snapshot can never be requested
         again (all lookups go through the new object's identity), so
         keeping them would pin the dead database in memory.  The plan memo
-        is untouched — plans key on schemas and stats buckets, not
-        database identity.  Dropped entries count into ``invalidations``.
+        is untouched — plans key on schemas, not database identity.  Dropped entries count into ``invalidations``.
         """
         dropped = 0
         with self._lock:
@@ -273,23 +276,14 @@ class ProvenanceCache:
         (:data:`repro.algebra.optimizer.DEFAULT_OPTIMIZER_LEVEL`); 0
         compiles the query exactly as written.  Plans are memoized by
         query identity, the attribute tuples of the referenced relations,
-        the optimizer level, and (for optimized plans) the statistics
-        version — bucketed row counts — so hypothetical databases that
-        share schemas and size buckets (e.g. produced by
-        ``Database.delete``) reuse one compiled plan, while a database
-        whose cardinalities changed materially gets a fresh optimized
-        compile.  Unknown relation names are not cached — compilation
-        raises :class:`~repro.errors.EvaluationError` each call, matching
-        the old interpreter.
+        and the optimizer level, so every database with the same schemas
+        (a written snapshot, a hypothetical one from ``Database.delete``)
+        reuses one compiled plan.  Unknown relation names are not cached —
+        compilation raises :class:`~repro.errors.EvaluationError` each
+        call, matching the old interpreter.
         """
         level = DEFAULT_OPTIMIZER_LEVEL if optimizer_level is None else optimizer_level
-        names = sorted(query.relation_names())
-        signature = tuple(
-            (name, db[name].schema.attributes if name in db else None)
-            for name in names
-        )
-        version = stats_version(db, names) if level > 0 else None
-        key = (id(query), signature, level, version)
+        key = _plan_key(query, db, level)
         while True:
             with self._lock:
                 plan = self._plans.get(key)
@@ -303,16 +297,10 @@ class ProvenanceCache:
                     break
             event.wait()
         try:
-            catalog = {name: db[name].schema for name in names if name in db}
-            # Lazy: statistics walk every row of the referenced relations,
-            # and the optimizer only consults them when it actually
-            # reorders a bush.
-            stats = (
-                (lambda: TableStatistics.from_database(db, names))
-                if level > 0
-                else None
-            )
-            plan = compile_plan(query, catalog, optimizer_level=level, stats=stats)
+            catalog = {
+                name: db[name].schema for name in query.relation_names() if name in db
+            }
+            plan = compile_plan(query, catalog, optimizer_level=level)
         except BaseException:
             with self._lock:
                 self._release(self._plan_inflight, key)
@@ -339,15 +327,8 @@ class ProvenanceCache:
         already-served request, which is diagnostics, not serving.
         """
         level = DEFAULT_OPTIMIZER_LEVEL if optimizer_level is None else optimizer_level
-        names = sorted(query.relation_names())
-        signature = tuple(
-            (name, db[name].schema.attributes if name in db else None)
-            for name in names
-        )
-        version = stats_version(db, names) if level > 0 else None
-        key = (id(query), signature, level, version)
         with self._lock:
-            return self._plans.get(key)
+            return self._plans.get(_plan_key(query, db, level))
 
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss counters.

@@ -115,7 +115,8 @@ class ServiceEngine:
     database gets one :class:`~repro.columnar.store.ColumnStore`, built on
     first touch through the shared cache and reused by every query over
     that snapshot.  Without numpy they run on the tuple plan executor;
-    answers are bit-identical either way.
+    answers are bit-identical either way.  Plans compile at
+    :data:`~repro.algebra.optimizer.DEFAULT_OPTIMIZER_LEVEL`.
 
     Use as a context manager, or call :meth:`close` when done: it drops
     the warm state.
@@ -125,7 +126,6 @@ class ServiceEngine:
         self,
         databases: "Dict[str, Database] | None" = None,
         *,
-        optimizer_level: Optional[int] = None,
         slow_query_log: Optional[SlowQueryLog] = None,
         slow_query_s: Optional[float] = None,
     ):
@@ -137,7 +137,6 @@ class ServiceEngine:
         self._oracles: Dict[Tuple[str, str], HypotheticalDeletions] = {}
         #: Versioned write handle (snapshot + epoch) per registered name.
         self._versions: Dict[str, VersionedDatabase] = {}
-        self._optimizer_level = optimizer_level
         self._closed = False
         # Observability: the registry every count lands in, the
         # per-request-kind latency histograms (created on first touch),
@@ -283,10 +282,7 @@ class ServiceEngine:
         self._m_cold_builds.inc()
         with _tracer.span("witness_build", database=database):
             oracle = HypotheticalDeletions(
-                query,
-                db,
-                optimizer_level=self._optimizer_level,
-                store=self._column_store(db),
+                query, db, store=self._column_store(db)
             )
         with self._lock:
             self._check_open()
@@ -376,7 +372,6 @@ class ServiceEngine:
                             deleted_sources=delta.deletions,
                             inserted_by_name=inserted_by,
                             query=query,
-                            optimizer_level=self._optimizer_level,
                             store=new_store,
                         )
                     except ExponentialGuardError:
@@ -511,9 +506,7 @@ class ServiceEngine:
                 db = self._databases.get(database)
                 oracle = self._oracles.get((database, query_text))
             if query is not None and db is not None:
-                plan = provenance_cache.peek_plan(
-                    query, db, self._optimizer_level
-                )
+                plan = provenance_cache.peek_plan(query, db)
                 if plan is not None:
                     detail["plan"] = plan.explain()
             if oracle is not None and oracle.provenance is not None:
@@ -531,7 +524,7 @@ class ServiceEngine:
         db = self.database(request.database)
         store = self._column_store(db)
         if store is not None:
-            plan = cached_plan(query, db, self._optimizer_level)
+            plan = cached_plan(query, db)
             return EvaluateResponse(
                 schema=plan.schema.attributes,
                 rows=_sorted_rows(plan.rows_columnar(store)),

@@ -164,3 +164,19 @@ def test_ceiling_non_numeric_fresh_value_fails(run_all):
 
 def test_tracked_ceilings_include_observability(run_all):
     assert ("observability.overhead_pct", 5.0) in run_all.TRACKED_CEILINGS
+
+
+def test_reports_follow_the_json_path(tmp_path):
+    """A harness run on a scratch json writes its report beside that json,
+    so a gate run never rewrites the tracked ``benchmarks/reports``."""
+    path = os.path.join(os.path.dirname(_RUN_ALL), "_report.py")
+    spec = importlib.util.spec_from_file_location("bench_report", path)
+    report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report)
+    assert report.report_dir() == report.REPORT_DIR
+    assert report.report_dir(report.REPO_PLAN_JSON) == report.REPORT_DIR
+    scratch_json = str(tmp_path / "BENCH_plan.json")
+    assert report.report_dir(scratch_json) == str(tmp_path / "reports")
+    written = report.write_report("probe", ["a line"], scratch_json)
+    assert written == str(tmp_path / "reports" / "probe.txt")
+    assert open(written).read() == "a line\n"

@@ -3,8 +3,9 @@
 Production runs one executor per semantics per platform — the numpy
 columnar kernels where numpy imports, the tuple ``PlanNode`` executor
 otherwise — and the serving engine routes requests to whichever is live.
-On random (database, query) pairs, at optimizer levels 0 and 1, this
-module checks each of them against the two oracles:
+On random (database, query) pairs this module checks each of them against
+the two oracles: both executors at optimizer levels 0 and 1, and the
+engine at the level it serves, ``DEFAULT_OPTIMIZER_LEVEL``:
 
 * the view ``Q(S)`` against ``interpret_view_rows``;
 * minimal witnesses against ``legacy_witnesses``;
@@ -40,7 +41,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.algebra import Database, Relation, parse_query
+from repro.algebra import DEFAULT_OPTIMIZER_LEVEL, Database, Relation, parse_query
 from repro.algebra.plan import compile_plan
 from repro.columnar import HAVE_NUMPY, ColumnStore
 from repro.errors import ReproError
@@ -155,10 +156,11 @@ def _mixed_delta(db, rng):
 
 
 def _run_differential(db, query, level, rng):
-    """Every live executor == the oracles, before and after one delta."""
+    """Every live executor == the oracles, before and after one delta: the
+    executors at ``level``, the engine at the level it serves."""
     text = repr(query)
     provenance_cache.clear()
-    with ServiceEngine({"db": db}, optimizer_level=level) as engine:
+    with ServiceEngine({"db": db}) as engine:
         engine.register_query(text, query)
         store = ColumnStore(db) if HAVE_NUMPY else None
         current = db
@@ -382,6 +384,14 @@ class TestLayout:
         for module in (repro, repro.algebra, repro.provenance):
             for name in ("interpret_view_rows", "minimize_monomials", "legacy_witnesses"):
                 assert not hasattr(module, name), (module.__name__, name)
+
+    def test_the_engine_serves_the_default_level(self, usergroup_db):
+        with pytest.raises(TypeError):
+            ServiceEngine({"db": usergroup_db}, optimizer_level=0)
+        text = "PROJECT[user, file](UserGroup JOIN GroupFile)"
+        with ServiceEngine({"db": usergroup_db}) as engine:
+            plan = engine.oracle("db", text).plan
+        assert plan.optimizer_level == DEFAULT_OPTIMIZER_LEVEL
 
     @pytest.mark.skipif(HAVE_NUMPY, reason="the no-numpy leg's contract")
     def test_without_numpy_the_tuple_executor_serves(self, usergroup_db):

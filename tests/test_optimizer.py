@@ -6,11 +6,15 @@ must return the same rows as the unoptimized plan *and* the seed recursive
 interpreter, the same witness bitmasks over a shared
 :class:`~repro.provenance.interning.SourceIndex`, and the same
 where-annotations — on the base database and on hypothetical deletion
-variants.  Unit tests below pin the individual rules, the statistics
-model, the scan fusion, and the stats-versioned plan memo.
+variants.  Unit tests below pin the individual rules, the connectivity
+join order, the scan fusion, and the plan memo, whose key holds no row
+counts.
 """
 
+import importlib.util
+import os
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,9 +22,9 @@ from hypothesis import given, settings, strategies as st
 from repro.algebra import (
     Database,
     Relation,
-    parse_predicate,
     parse_query,
 )
+from repro.algebra.ast import Join, RelationRef
 from repro.algebra.optimizer import (
     DEFAULT_OPTIMIZER_LEVEL,
     PruneJoinColumns,
@@ -32,19 +36,19 @@ from repro.algebra.optimizer import (
     optimize,
 )
 from repro.algebra.plan import FilterOp, ScanOp, compile_plan
+from repro.algebra.render import render_plan
 from repro.algebra.schema import Schema
-from repro.algebra.stats import (
-    RelationStats,
-    TableStatistics,
-    estimate_query,
-    selectivity,
-    stats_version,
-)
 from repro.errors import EvaluationError, SchemaError
 from repro.oracle import interpret_view_rows
 from repro.provenance import SourceIndex, bitset_why_provenance
 from repro.provenance.cache import ProvenanceCache
-from repro.workloads import random_instance
+from repro.workloads import (
+    chain_workload,
+    random_instance,
+    sj_workload,
+    star_workload,
+    usergroup_workload,
+)
 
 seeds = st.integers(min_value=0, max_value=100_000)
 
@@ -56,12 +60,7 @@ def _catalog(db):
 def _both_plans(query, db):
     catalog = _catalog(db)
     baseline = compile_plan(query, catalog)
-    optimized = compile_plan(
-        query,
-        catalog,
-        optimizer_level=1,
-        stats=TableStatistics.from_database(db),
-    )
+    optimized = compile_plan(query, catalog, optimizer_level=1)
     return baseline, optimized
 
 
@@ -241,11 +240,9 @@ class TestJoinReordering:
         )
         # Written so the first join is a cross product (R1 ⋈ R3).
         query = parse_query("PROJECT[A1, A4]((R1 JOIN R3) JOIN R2)")
-        result = optimize(query, _catalog(db), TableStatistics.from_database(db))
+        result = optimize(query, _catalog(db))
         assert "reorder-joins" in result.applied
         baseline, optimized = _both_plans(query, db)
-        from repro.algebra.render import render_plan
-
         assert "cross product" in render_plan(baseline)
         assert "cross product" not in render_plan(optimized)
         assert optimized.rows(db) == baseline.rows(db)
@@ -261,6 +258,80 @@ class TestJoinReordering:
         baseline, optimized = _both_plans(query, db)
         assert optimized.schema.attributes == baseline.schema.attributes
         assert optimized.rows(db) == baseline.rows(db)
+
+
+def _connected(attr_sets):
+    """Whether leaves sharing attributes link every leaf to the first."""
+    joined, remaining = set(attr_sets[0]), list(attr_sets[1:])
+    while remaining:
+        linked = [a for a in remaining if joined & a]
+        if not linked:
+            return False
+        for attrs in linked:
+            joined |= attrs
+            remaining.remove(attrs)
+    return True
+
+
+def _load_perfbench_workloads():
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "perfbench",
+        "workloads.py",
+    )
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+class TestConnectivityOrder:
+    """The join order reads schemas only: it avoids every avoidable cross
+    product, and changes no row, witness mask or where-location."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from(["chain", "star"]),
+        size=st.integers(min_value=4, max_value=5),
+        seed=seeds,
+        order=st.randoms(use_true_random=False),
+    )
+    def test_any_written_order_is_sound_and_cross_free(
+        self, shape, size, seed, order
+    ):
+        if shape == "chain":
+            db, _, _ = chain_workload(size, 5, seed=seed)
+        else:
+            db, _, _ = star_workload(size - 1, 4, seed=seed)
+        names = sorted(db.names())
+        order.shuffle(names)
+        query = RelationRef(names[0])
+        for name in names[1:]:
+            query = Join(query, RelationRef(name))
+        baseline, optimized = _both_plans(query, db)
+        if _connected([frozenset(db[n].schema.attributes) for n in names]):
+            assert "cross product" not in render_plan(optimized)
+        index = SourceIndex.from_database(db)
+        assert optimized.rows(db) == baseline.rows(db)
+        assert _mask_table(optimized, db, index) == _mask_table(
+            baseline, db, index
+        )
+        assert optimized.where_rows(db) == baseline.where_rows(db)
+
+    def test_served_queries_are_not_reordered(self):
+        workloads = _load_perfbench_workloads()
+        databases = {
+            workloads.CHAIN_QUERY: chain_workload(3, 4, seed=1)[0],
+            workloads.SJ_QUERY: sj_workload(8, seed=1)[0],
+            workloads.USERGROUP_QUERY: usergroup_workload(8, 3, 4, seed=1)[0],
+        }
+        for text, db in databases.items():
+            _, optimized = _both_plans(parse_query(text), db)
+            assert "reorder-joins" not in optimized.rewrites, text
 
 
 class TestScanFusion:
@@ -330,59 +401,8 @@ class TestCompileErrorsMatchBaseline:
             compile_plan(query, self.catalog, optimizer_level=1)
 
 
-class TestStatistics:
-    def test_from_database_counts(self):
-        db = Database(
-            [Relation("R", ["A", "B"], [(1, 2), (1, 3), (4, 3)])]
-        )
-        stats = TableStatistics.from_database(db)
-        rel = stats.relation("R")
-        assert rel.rows == 3
-        assert rel.distinct == {"A": 2, "B": 2}
-
-    def test_missing_relation_defaults(self):
-        stats = TableStatistics()
-        rel = stats.relation("Missing")
-        assert rel.rows > 0 and rel.distinct_of("A") >= 1
-
-    def test_equality_selectivity_uses_distinct(self):
-        db = Database(
-            [Relation("R", ["A"], [(i,) for i in range(10)])]
-        )
-        stats = TableStatistics.from_database(db)
-        est = estimate_query(parse_query("R"), _catalog(db), stats)
-        assert selectivity(parse_predicate("A = 3"), est) == pytest.approx(0.1)
-        assert selectivity(parse_predicate("A != 3"), est) == pytest.approx(0.9)
-
-    def test_join_estimate_prefers_shared_keys(self):
-        db = Database(
-            [
-                Relation("R", ["A", "B"], [(i, i % 4) for i in range(12)]),
-                Relation("S", ["B", "C"], [(i % 4, i) for i in range(12)]),
-                Relation("T", ["D"], [(i,) for i in range(12)]),
-            ]
-        )
-        stats = TableStatistics.from_database(db)
-        catalog = _catalog(db)
-        keyed = estimate_query(parse_query("R JOIN S"), catalog, stats)
-        cross = estimate_query(parse_query("R JOIN T"), catalog, stats)
-        assert keyed.rows < cross.rows
-        assert cross.rows == pytest.approx(144)
-
-    def test_stats_version_buckets_row_counts(self):
-        rows = [(i, 0) for i in range(100)]
-        db = Database([Relation("R", ["A", "B"], rows)])
-        small_delta = db.delete([("R", rows[0])])
-        assert stats_version(db, ["R"]) == stats_version(small_delta, ["R"])
-        drastic = db.delete([("R", r) for r in rows[:97]])
-        assert stats_version(db, ["R"]) != stats_version(drastic, ["R"])
-        assert stats_version(db, ["Nope"]) == (("Nope", None),)
-
-
 class TestPlanMemoVersioning:
     def setup_method(self):
-        # 100 rows: a one-row delta stays inside the same power-of-two
-        # bucket (only crossing a boundary, e.g. 64 → 63, recompiles).
         rows = [(i, i % 5) for i in range(100)]
         self.db = Database([Relation("R", ["A", "B"], rows)])
         self.rows = rows
@@ -410,12 +430,17 @@ class TestPlanMemoVersioning:
         stats = cache.stats()
         assert stats["plan_misses"] == 1 and stats["plan_hits"] == 1
 
-    def test_mutated_cardinalities_recompile(self):
+    def test_row_counts_never_recompile(self):
+        """The key holds no row counts: a database shrunk to 40 rows and
+        one grown to 300 both reuse the level-1 plan of the 100-row one."""
         cache = ProvenanceCache()
-        cache.plan_for(self.query, self.db, optimizer_level=1)
+        plan = cache.plan_for(self.query, self.db, optimizer_level=1)
         shrunk = self.db.delete([("R", r) for r in self.rows[:60]])
-        cache.plan_for(self.query, shrunk, optimizer_level=1)
-        assert cache.stats()["plan_misses"] == 2
+        grown = self.db.insert([("R", (i, i % 5)) for i in range(100, 300)])
+        assert len(shrunk["R"]) == 40 and len(grown["R"]) == 300
+        assert cache.plan_for(self.query, shrunk, optimizer_level=1) is plan
+        assert cache.plan_for(self.query, grown, optimizer_level=1) is plan
+        assert cache.stats()["plan_misses"] == 1
 
     def test_level_zero_ignores_cardinalities(self):
         cache = ProvenanceCache()
