@@ -29,10 +29,13 @@ those two costs:
   - :meth:`CompiledPlan.where_rows` — where-provenance location sets per
     view field (the :func:`repro.provenance.where.where_provenance` front).
 
-  Where numpy imports, the serving engine runs the first two on the
-  columnar kernels instead (:meth:`CompiledPlan.rows_columnar`,
-  :meth:`CompiledPlan.annotated_table_columnar`) over the same tree; this
-  tuple executor is the only one on hosts without numpy.
+  Where numpy imports, the first two also run on the columnar kernels
+  (:meth:`CompiledPlan.rows_columnar`,
+  :meth:`CompiledPlan.annotated_table_columnar`) over the same tree; the
+  serving engine builds its witness tables that way, and answers plain
+  evaluation and where-provenance from them (the latter through
+  :attr:`CompiledPlan.where_columns`).  This tuple executor is the only
+  one on hosts without numpy.
 
 Compilation also *moves validation forward*: union schema compatibility,
 predicate attribute resolution, projection positions, and rename injectivity
@@ -736,6 +739,7 @@ class CompiledPlan:
         "logical",
         "optimizer_level",
         "rewrites",
+        "where_columns",
     )
 
     def __init__(
@@ -756,6 +760,11 @@ class CompiledPlan:
         self.optimizer_level = optimizer_level
         #: Names of the optimizer rules that fired, in order.
         self.rewrites = rewrites
+        #: Per output column, the ``(relation, attribute)`` base fields
+        #: whose values the §3 where-rules copy into it; None when the
+        #: plan has a union or scans a relation twice (see
+        #: :func:`_where_columns`).
+        self.where_columns = _where_columns(root)
 
     # -- plain set semantics ------------------------------------------
     def rows(self, db: Database) -> FrozenSet[Row]:
@@ -836,6 +845,50 @@ class CompiledPlan:
             f"CompiledPlan(schema={list(self.schema.attributes)!r}, "
             f"sources={list(self.source_names)!r})"
         )
+
+
+WhereColumns = Tuple[Tuple[Tuple[str, str], ...], ...]
+
+
+def _where_columns(root: PlanNode) -> Optional[WhereColumns]:
+    """The plan's per-output-column source fields, or None.
+
+    Renames and selections keep positions, projections pick them, and a
+    join merges its operands' same-named columns, so each output column
+    draws from a fixed set of base fields.  Without a union, and with
+    every base relation scanned once, each derivation of a view row picks
+    one tuple per relation; all derivations then have the same size, none
+    absorbs another, and the minimal witnesses are exactly the
+    derivations.  The where-provenance of a view field is then the column's
+    fields read off each witness (:func:`repro.provenance.where.
+    where_from_witnesses`).  Other shapes return None.
+    """
+    scanned: List[str] = []
+
+    def columns(node: PlanNode) -> "List[Tuple[Tuple[str, str], ...]] | None":
+        if isinstance(node, ScanOp):
+            scanned.append(node.name)
+            return [((node.name, attr),) for attr in node.schema.attributes]
+        if isinstance(node, (FilterOp, RenameOp)):
+            return columns(node.child)
+        if isinstance(node, ProjectOp):
+            child = columns(node.child)
+            return None if child is None else [child[p] for p in node.positions]
+        if isinstance(node, HashJoinOp):
+            left, right = columns(node.left), columns(node.right)
+            if left is None or right is None:
+                return None
+            return [
+                (left[lp] if lp is not None else ())
+                + (right[rp] if rp is not None else ())
+                for lp, rp in node.where_pairs
+            ]
+        return None  # a union, or an operator this map does not know
+
+    out = columns(root)
+    if out is None or len(set(scanned)) != len(scanned):
+        return None
+    return tuple(out)
 
 
 def compile_plan(

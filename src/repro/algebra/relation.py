@@ -28,7 +28,7 @@ from typing import (
 from repro.errors import EvaluationError, SchemaError
 from repro.algebra.schema import Schema
 
-__all__ = ["Relation", "Database", "Row"]
+__all__ = ["Relation", "Database", "Row", "row_sort_key"]
 
 #: A database row: a tuple of atomic (hashable) values.
 Row = Tuple[object, ...]
@@ -163,7 +163,7 @@ class Relation:
         Used by renderers and benchmarks so output is reproducible across
         runs; hash randomization makes raw frozenset order unstable.
         """
-        return tuple(sorted(self._rows, key=lambda r: tuple(map(_sort_key, r))))
+        return tuple(sorted(self._rows, key=row_sort_key))
 
     # ------------------------------------------------------------------
     # Functional updates
@@ -193,6 +193,11 @@ class Relation:
 def _sort_key(value: object) -> Tuple[str, str]:
     """Total order over heterogeneous atomic values for deterministic output."""
     return (type(value).__name__, repr(value))
+
+
+def row_sort_key(row: Row) -> Tuple[Tuple[str, str], ...]:
+    """The key :meth:`Relation.sorted_rows` orders rows by."""
+    return tuple(map(_sort_key, row))
 
 
 class Database:

@@ -55,8 +55,11 @@ one NDJSON request — request counters, per-kind latency histograms
 (p50/p95/p99), batcher queue stats, cache counters, and recent
 slow-query entries.  Every request the engine answers counts once in
 ``requests``, batched hypotheticals included (here 871 of the 1042, in
-112 kernel calls).  ``--format text`` prints the Prometheus-style text
-exposition instead (the HTTP-free ``/metrics`` equivalent)::
+112 kernel calls).  The ``cache`` line counts lookups of the warm
+per-(database, query) entries every read answers from, plus the shared
+provenance memo's own (which cold entry builds reach).  ``--format text``
+prints the Prometheus-style text exposition instead (the HTTP-free
+``/metrics`` equivalent)::
 
     $ repro stats 127.0.0.1:7464
     requests: 1042   errors: 0
@@ -105,20 +108,33 @@ def load_database(path: str) -> Database:
         payload = json.load(handle)
     if not isinstance(payload, dict) or "relations" not in payload:
         raise ReproError(f"{path}: expected an object with a 'relations' key")
+    entries = payload["relations"]
+    if not isinstance(entries, list):
+        raise ReproError(
+            f"{path}: 'relations' must be a list of relation objects, "
+            f"got {type(entries).__name__}"
+        )
     relations = []
-    for entry in payload["relations"]:
-        try:
-            relations.append(
-                Relation(
-                    entry["name"],
-                    entry["schema"],
-                    [tuple(row) for row in entry["rows"]],
-                )
+    for position, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ReproError(
+                f"{path}: relations[{position}] must be an object with "
+                f"name, schema and rows, got {entry!r}"
             )
+        try:
+            name, schema, rows = entry["name"], entry["schema"], entry["rows"]
         except KeyError as missing:
             raise ReproError(
                 f"{path}: relation entry is missing key {missing}"
             ) from None
+        if not isinstance(schema, list) or not (
+            isinstance(rows, list) and all(isinstance(r, list) for r in rows)
+        ):
+            raise ReproError(
+                f"{path}: relation {name!r} needs a list schema and a list "
+                f"of row lists, got schema {schema!r} and rows {rows!r}"
+            )
+        relations.append(Relation(name, schema, [tuple(row) for row in rows]))
     return Database(relations)
 
 
@@ -671,6 +687,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser(
         "stats",
         help="print a running server's live metrics/stats snapshot",
+        description="Print a running server's live metrics/stats snapshot. "
+        "The digest's cache hits and misses count warm-entry lookups "
+        "(service.oracle.warm_hits / cold_builds: every read answers from "
+        "its per-(database, query) entry) plus the shared provenance "
+        "memo's own lookups.",
     )
     p_stats.add_argument(
         "address", help="the server's host:port (e.g. 127.0.0.1:7464)"

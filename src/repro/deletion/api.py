@@ -16,7 +16,11 @@ of the dichotomy their query landed on.
 
 Both dispatchers obtain the why-provenance once — through the shared
 :mod:`repro.provenance.cache` — and hand the same object to whichever solver
-they route to, so dispatch never costs an extra annotated evaluation.
+they route to, so dispatch never costs an extra annotated evaluation.  The
+chain-join min cut is the exception when no ``prov`` is passed: it builds
+its network by scanning the database and needs no provenance; a caller
+that passes ``prov`` (the serving engine, from its warm witness table) gets
+the same cut built from the target's witnesses.
 """
 
 from __future__ import annotations
@@ -113,7 +117,7 @@ def minimum_source_deletion(
     catalog = {name: db[name].schema for name in db}
     try:
         if chain_join_order(query, catalog) is not None:
-            return chain_join_source_deletion(query, db, target)
+            return chain_join_source_deletion(query, db, target, prov=prov)
     except QueryClassError:
         pass  # e.g. a selection inside the branch: fall through to search
     if prov is None:

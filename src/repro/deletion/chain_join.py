@@ -17,14 +17,23 @@ polynomial time with a flow network:
 :func:`chain_join_source_deletion` implements the construction on top of
 :class:`repro.solvers.maxflow.FlowNetwork` and returns a verified optimal
 :class:`~repro.deletion.plan.DeletionPlan`.
+
+The nodes on ``s–t`` paths are exactly the tuples of ``t0``'s minimal
+witnesses, and the tuples step 1 keeps but no path uses carry no flow and
+never reach the cut.  So a caller holding the why-provenance passes it as
+``prov=``: the layers are then read off ``t0``'s witnesses, in the order
+step 1 would scan them, the view check and the side effects come from the
+witness kernel, and the database is never scanned or re-evaluated.  The
+cut is the same either way (the serving engine takes this route from its
+warm witness table; one-shot callers omit ``prov``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import InfeasibleError, QueryClassError
-from repro.algebra.ast import Project, Query, Select
+from repro.algebra.ast import Query
 from repro.algebra.classify import (
     branch_parts,
     chain_join_order,
@@ -32,9 +41,10 @@ from repro.algebra.classify import (
     leaf_base_name,
 )
 from repro.algebra.evaluate import view_rows
-from repro.algebra.relation import Database, Row
+from repro.algebra.relation import Database, Row, row_sort_key
 from repro.algebra.schema import Schema
 from repro.deletion.plan import DeletionPlan, apply_deletions
+from repro.provenance.why import WhyProvenance
 from repro.solvers.maxflow import INF, FlowNetwork
 
 __all__ = ["chain_join_source_deletion", "build_chain_network"]
@@ -62,13 +72,19 @@ def _require_chain_pj(
 
 
 def build_chain_network(
-    query: Query, db: Database, target: Row
+    query: Query,
+    db: Database,
+    target: Row,
+    prov: Optional[WhyProvenance] = None,
 ) -> Tuple[FlowNetwork, List[Tuple[str, Row]]]:
     """Construct the layered node-split flow network for ``target``.
 
     Returns the network and the list of candidate source tuples (one
     node-split pair per candidate).  Node labels: ``"s"``, ``"t"``, and
-    ``("in"/"out", layer_index, row)`` for tuple nodes.
+    ``("in"/"out", layer_index, row)`` for tuple nodes.  Each layer holds
+    the relation's rows that agree with ``target``, or, given ``prov`` (a
+    view containing ``target``), its rows in ``target``'s witnesses;
+    both in :meth:`~repro.algebra.relation.Relation.sorted_rows` order.
     """
     catalog = {name: db[name].schema for name in db}
     projection, chain = _require_chain_pj(query, catalog)
@@ -78,6 +94,12 @@ def build_chain_network(
             f"target {target!r} does not match projection {projection!r}"
         )
     target_value = dict(zip(projection, target))
+    witnessed: Dict[str, List[Row]] = {}
+    if prov is not None:
+        # Chain relations are distinct, so a witness tuple's relation
+        # names its layer.
+        for name, row in prov.witness_universe(target):
+            witnessed.setdefault(name, []).append(row)
 
     layers: List[List[Row]] = []
     layer_schemas: List[Schema] = []
@@ -85,17 +107,20 @@ def build_chain_network(
     for leaf in chain:
         schema = leaf.output_schema(catalog)
         base = leaf_base_name(leaf)
-        rows = []
-        for row in db[base].sorted_rows():
-            # The leaf's schema equals the base schema up to renaming, in the
-            # same attribute order, so row values align with `schema`.
-            agrees = all(
-                row[schema.index_of(attr)] == target_value[attr]
-                for attr in schema.attributes
-                if attr in target_value
-            )
-            if agrees:
-                rows.append(row)
+        if prov is not None:
+            rows = sorted(witnessed.get(base, ()), key=row_sort_key)
+        else:
+            # The leaf's schema equals the base schema up to renaming, in
+            # the same attribute order, so row values align with `schema`.
+            rows = [
+                row
+                for row in db[base].sorted_rows()
+                if all(
+                    row[schema.index_of(attr)] == target_value[attr]
+                    for attr in schema.attributes
+                    if attr in target_value
+                )
+            ]
         layers.append(rows)
         layer_schemas.append(schema)
         base_names.append(base)
@@ -127,20 +152,33 @@ def build_chain_network(
     return network, candidates
 
 
-def chain_join_source_deletion(query: Query, db: Database, target: Row) -> DeletionPlan:
+def chain_join_source_deletion(
+    query: Query,
+    db: Database,
+    target: Row,
+    prov: Optional[WhyProvenance] = None,
+) -> DeletionPlan:
     """Optimal minimum source deletion for a chain-join PJ query (Thm 2.6).
 
     Polynomial time: one max-flow computation on a network with one node
     pair per agreeing source tuple.  Raises :class:`QueryClassError` when
     the query is not a normal-form chain-join PJ query and
     :class:`InfeasibleError` when the target is not in the view.
+
+    ``prov``, the why-provenance of ``query`` over ``db``, builds the
+    network from ``target``'s witnesses and reports the view check and
+    side effects from the witness kernel; the plan is the same.
     """
     target = tuple(target)
-    before = view_rows(query, db)
-    if target not in before:
+    if prov is None:
+        before = view_rows(query, db)
+        in_view = target in before
+    else:
+        in_view = target in prov
+    if not in_view:
         raise InfeasibleError(f"target {target!r} is not in the view")
 
-    network, _ = build_chain_network(query, db, target)
+    network, _ = build_chain_network(query, db, target, prov)
     if not network.has_node("s") or not network.has_node("t"):
         raise InfeasibleError(
             f"no agreeing source tuples for target {target!r}; "
@@ -161,11 +199,15 @@ def chain_join_source_deletion(query: Query, db: Database, target: Row) -> Delet
         assert kind == "in" and edge_target[0] == "out"
         deletions.add((base_names[index], row))
 
-    after = view_rows(query, apply_deletions(db, deletions))
-    side_effects = frozenset(before - after - {target})
+    deletions = frozenset(deletions)
+    if prov is None:
+        after = view_rows(query, apply_deletions(db, deletions))
+        side_effects = frozenset(before - after - {target})
+    else:
+        side_effects = prov.side_effects(target, deletions)
     return DeletionPlan(
         target=target,
-        deletions=frozenset(deletions),
+        deletions=deletions,
         side_effects=side_effects,
         algorithm="chain-join-min-cut",
         objective="source",

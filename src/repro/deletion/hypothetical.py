@@ -22,11 +22,16 @@ object, :class:`HypotheticalDeletions`, that answers the question two ways:
 
 Both paths return identical answers; the property tests pin the equivalence
 against the independent recursive interpreter.
+
+The serving engine keeps one oracle per (database, query) as the warm
+entry every request kind reads: besides hypothetical answers it carries the
+view's rows in wire order (:attr:`HypotheticalDeletions.wire_rows`), and
+its provenance answers ``why``, ``where`` and ``delete``.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import ExponentialGuardError
 from repro.algebra.ast import Query
@@ -63,6 +68,7 @@ class HypotheticalDeletions:
         "_plan",
         "_prov",
         "_baseline",
+        "_wire",
     )
 
     def __init__(
@@ -83,10 +89,21 @@ class HypotheticalDeletions:
                 prov = None  # refused as exponential: compiled-plan fallback
         self._prov = prov
         self._baseline: Optional[FrozenSet[Row]] = None
+        self._wire: Optional[Tuple[Row, ...]] = None
 
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
+    @property
+    def query(self) -> Query:
+        """The query this oracle answers for."""
+        return self._query
+
+    @property
+    def db(self) -> Database:
+        """The database snapshot every answer is about."""
+        return self._db
+
     @property
     def plan(self) -> CompiledPlan:
         """The compiled physical plan shared by every answer."""
@@ -106,11 +123,18 @@ class HypotheticalDeletions:
     def rows(self) -> FrozenSet[Row]:
         """The baseline view (no deletions)."""
         if self._baseline is None:
-            if self._prov is not None:
-                self._baseline = frozenset(self._prov.rows)
-            else:
-                self._baseline = self._plan.rows(self._db)
+            self._baseline = frozenset(self.wire_rows)
         return self._baseline
+
+    @property
+    def wire_rows(self) -> Tuple[Row, ...]:
+        """The baseline view sorted by ``repr``, the order answers ship in."""
+        if self._wire is None:
+            if self._prov is not None:
+                self._wire = self._prov.rows  # already in repr order
+            else:
+                self._wire = tuple(sorted(self._plan.rows(self._db), key=repr))
+        return self._wire
 
     # ------------------------------------------------------------------
     # Hypothetical answers
@@ -173,8 +197,8 @@ class HypotheticalDeletions:
         — and an oracle that was in compiled-plan fallback mode stays in
         fallback mode: *no* cold provenance build is ever triggered by a
         write.  ``keep_baseline`` carries the materialized baseline view
-        over, which is only sound when the write provably left this
-        query's answer unchanged.
+        over, with its wire order, which is only sound when the write
+        provably left this query's answer unchanged.
         """
         if prov is None:
             prov = self._prov
@@ -186,4 +210,5 @@ class HypotheticalDeletions:
         )
         if keep_baseline:
             rebased._baseline = self._baseline
+            rebased._wire = self._wire
         return rebased

@@ -34,21 +34,36 @@ the query once through the shared plan memo and executes the plan's
 where-annotated semantics
 (:meth:`~repro.algebra.plan.CompiledPlan.where_rows`), where positions and
 attribute lineage through joins are resolved at compile time.
+
+For union-free plans that scan each relation once, the backward image of a
+single field needs no pass at all: :func:`where_from_witnesses` reads it
+off the field's minimal witnesses through the plan's compile-time column
+map (:attr:`~repro.algebra.plan.CompiledPlan.where_columns`).  The serving
+engine answers ``where`` that way from its warm witness table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Set, Tuple
 
 from repro.errors import InfeasibleError
 from repro.algebra.ast import Query
 from repro.algebra.evaluate import DEFAULT_VIEW_NAME
+from repro.algebra.plan import CompiledPlan
 from repro.algebra.relation import Database, Relation, Row
 from repro.algebra.schema import Schema
 from repro.provenance.cache import cached_plan
 from repro.provenance.locations import Location
 
-__all__ = ["WhereProvenance", "where_provenance", "annotate"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.provenance.why import WhyProvenance
+
+__all__ = [
+    "WhereProvenance",
+    "where_provenance",
+    "where_from_witnesses",
+    "annotate",
+]
 
 #: A view field: (row, attribute).  The view's name is carried separately.
 ViewField = Tuple[Row, str]
@@ -174,6 +189,34 @@ def where_provenance(
     """
     plan = cached_plan(query, db, optimizer_level)
     return WhereProvenance(plan.schema, plan.where_rows(db), view_name)
+
+
+def where_from_witnesses(
+    plan: CompiledPlan, prov: "WhyProvenance", row: Row, attribute: str
+) -> FrozenSet[Location]:
+    """``where_provenance(...).backward(row, attribute)``, from witnesses.
+
+    ``plan.where_columns`` must not be None: then every derivation of
+    ``row`` is one of its minimal witnesses, holding one tuple per base
+    relation, and the field's source locations are the column's base
+    fields read off each witness.  ``prov`` is the why-provenance of the
+    plan's query over the same database.  Raises the same
+    :class:`InfeasibleError` as :meth:`WhereProvenance.backward` for a
+    field outside the view.
+    """
+    key = tuple(row)
+    if key not in prov or attribute not in plan.schema:
+        raise InfeasibleError(
+            f"({row!r}, {attribute!r}) is not a field of the view"
+        )
+    fields = plan.where_columns[plan.schema.index_of(attribute)]
+    locations = set()
+    for witness in prov.witnesses(key):
+        tuples = dict(witness)
+        locations.update(
+            Location(name, tuples[name], attr) for name, attr in fields
+        )
+    return frozenset(locations)
 
 
 def annotate(

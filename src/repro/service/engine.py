@@ -10,18 +10,30 @@ alive across requests:
   (:mod:`repro.provenance.cache`, the plan memo) is identity-keyed, so
   handing equal texts the *same* :class:`~repro.algebra.ast.Query` object
   is what makes the shared caches hit across requests;
-* **warm per-(database, query) state** — a
+* **one warm entry per (database, query)** — a
   :class:`~repro.deletion.hypothetical.HypotheticalDeletions` oracle per
   pair, holding the compiled plan, the
-  :class:`~repro.provenance.interning.SourceIndex`, and the
-  :class:`~repro.provenance.bitset.BitsetProvenance` witness masks, built
-  on first touch and reused by every later request.
+  :class:`~repro.provenance.interning.SourceIndex`, the
+  :class:`~repro.provenance.bitset.BitsetProvenance` witness table and the
+  view's rows in wire order.  The first request of any kind builds it,
+  :meth:`ServiceEngine.apply_delta` patches it, and every read kind
+  answers from it: ``evaluate`` ships its wire-sorted rows, ``why`` its
+  witnesses, ``hypothetical`` its survival kernel, ``delete`` hands its
+  provenance to the solvers (the chain-join min cut builds its network
+  from the target's witnesses), and ``where`` reads the field's sources
+  off the row's witnesses through the plan's column map
+  (:attr:`~repro.algebra.plan.CompiledPlan.where_columns`).  Only plans
+  with a union or a relation scanned twice, where that map does not
+  exist, answer ``where`` from the shared where-provenance memo.
 
 The engine keeps no counters of its own: every count it serves (requests,
 errors, batch calls, write outcomes, warm and cold oracle lookups) is an
 instrument in the process default metrics registry
 (:func:`repro.observability.default_registry`), and :meth:`ServiceEngine.
-stats` is a digest read from one registry snapshot.
+stats` is a digest read from one registry snapshot.  The digest's
+``cache`` section adds the warm-entry lookups (``service.oracle.
+warm_hits``/``cold_builds``) to the shared memo's ``hits``/``misses``,
+since reads look up the entry, not the memo.
 
 The engine itself is synchronous and thread-safe; batching and the async
 front door live in :mod:`repro.service.batcher` and
@@ -39,9 +51,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import ExponentialGuardError, ReproError
 from repro.algebra.ast import Query
-from repro.algebra.evaluate import evaluate
 from repro.algebra.parser import parse_query
-from repro.algebra.plan import DEFAULT_VIEW_NAME
 from repro.algebra.relation import Database, Row
 from repro.columnar import HAVE_NUMPY, cached_column_store
 from repro.columnar.store import ColumnStore
@@ -50,12 +60,12 @@ from repro.deletion.hypothetical import HypotheticalDeletions
 from repro.observability import MetricsRegistry, SlowQueryLog, default_registry
 from repro.observability.tracing import tracer as _tracer
 from repro.provenance.cache import (
-    cached_plan,
     cached_where_provenance,
     cached_why_provenance,
     provenance_cache,
 )
 from repro.provenance.locations import SourceTuple
+from repro.provenance.where import where_from_witnesses
 from repro.provenance.why import WhyProvenance
 from repro.service.requests import (
     ApplyDeltaRequest,
@@ -200,13 +210,7 @@ class ServiceEngine:
                         for rel in query.relation_names()
                     )
                 ):
-                    rebased = oracle.rebased(db, keep_baseline=True)
-                    prov = rebased.provenance
-                    if prov is not None:
-                        provenance_cache.seed(
-                            "why", query, db, DEFAULT_VIEW_NAME, prov
-                        )
-                    self._oracles[key] = rebased
+                    self._oracles[key] = oracle.rebased(db, keep_baseline=True)
                     self._m_reused.inc()
                 else:
                     del self._oracles[key]
@@ -382,11 +386,6 @@ class ServiceEngine:
                         new_db, prov=WhyProvenance(new_kernel)
                     )
                     patched += 1
-                prov = new_oracle.provenance
-                if prov is not None and query is not None:
-                    provenance_cache.seed(
-                        "why", query, new_db, DEFAULT_VIEW_NAME, prov
-                    )
                 self._oracles[key] = new_oracle
             provenance_cache.invalidate_database(old_db)
             self._m_deltas.inc()
@@ -520,26 +519,20 @@ class ServiceEngine:
         return detail
 
     def _evaluate(self, request: EvaluateRequest) -> EvaluateResponse:
-        query = self.query(request.query)
-        db = self.database(request.database)
-        store = self._column_store(db)
-        if store is not None:
-            plan = cached_plan(query, db)
-            return EvaluateResponse(
-                schema=plan.schema.attributes,
-                rows=_sorted_rows(plan.rows_columnar(store)),
-            )
-        view = evaluate(query, db)
+        oracle = self.oracle(request.database, request.query)
         return EvaluateResponse(
-            schema=view.schema.attributes, rows=_sorted_rows(view.rows)
+            schema=oracle.plan.schema.attributes, rows=oracle.wire_rows
         )
 
     def _why(self, request: WhyRequest) -> WhyResponse:
-        query = self.query(request.query)
-        db = self.database(request.database)
-        prov = cached_why_provenance(
-            query, db, store=self._column_store(db)
-        )
+        oracle = self.oracle(request.database, request.query)
+        prov = oracle.provenance
+        if prov is None:
+            # The entry's build was refused as exponential: a direct build
+            # answers with the same refusal.
+            prov = cached_why_provenance(
+                oracle.query, oracle.db, store=self._column_store(oracle.db)
+            )
         witnesses = prov.witnesses(request.row)
         return WhyResponse(
             witnesses=tuple(
@@ -550,25 +543,34 @@ class ServiceEngine:
         )
 
     def _where(self, request: WhereRequest) -> WhereResponse:
-        prov = cached_where_provenance(
-            self.query(request.query), self.database(request.database)
-        )
-        locations = prov.backward(request.row, request.attribute)
+        oracle = self.oracle(request.database, request.query)
+        prov = oracle.provenance
+        if prov is not None and oracle.plan.where_columns is not None:
+            locations = where_from_witnesses(
+                oracle.plan, prov, request.row, request.attribute
+            )
+        else:
+            # A union, or a relation scanned twice: absorption can hide a
+            # derivation's locations from the witnesses, so the annotated
+            # where pass answers.
+            locations = cached_where_provenance(
+                oracle.query, oracle.db
+            ).backward(request.row, request.attribute)
         return WhereResponse(locations=tuple(sorted(locations, key=repr)))
 
     def _delete(self, request: DeleteRequest) -> DeleteResponse:
-        query = self.query(request.query)
-        db = self.database(request.database)
+        oracle = self.oracle(request.database, request.query)
         solve = (
             delete_view_tuple
             if request.objective == "view"
             else minimum_source_deletion
         )
         plan = solve(
-            query,
-            db,
+            oracle.query,
+            oracle.db,
             request.target,
             allow_exponential=request.exact,
+            prov=oracle.provenance,
         )
         return DeleteResponse(
             algorithm=plan.algorithm,
@@ -682,7 +684,13 @@ class ServiceEngine:
             stats["databases"] = len(self._databases)
             stats["warm_oracles"] = len(self._oracles)
         stats["columnar"] = HAVE_NUMPY
-        stats["cache"] = snap["collected"]["provenance_cache"]
+        # Reads look up the warm entry, not the shared memo, so the entry
+        # lookups count as cache hits and misses too (read from their
+        # service.oracle counters, which stay their only store).
+        cache = dict(snap["collected"]["provenance_cache"])
+        cache["hits"] += counters.get("service.oracle.warm_hits", 0)
+        cache["misses"] += counters.get("service.oracle.cold_builds", 0)
+        stats["cache"] = cache
         # A batcher records into the same registry; its section appears
         # once one has been built.
         batches = snap["histograms"].get("batcher.batch_size")

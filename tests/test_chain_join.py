@@ -10,6 +10,7 @@ from repro.deletion import (
     verify_plan,
 )
 from repro.errors import InfeasibleError, QueryClassError
+from repro.provenance import why_provenance
 from repro.workloads import chain_workload, usergroup_workload
 
 
@@ -88,6 +89,54 @@ class TestAlgorithm:
         verify_plan(query, db, plan)
         exact = exact_source_deletion(query, db, target)
         assert plan.num_deletions == exact.num_deletions
+
+
+class TestWitnessRoute:
+    """``prov=`` builds the network from the target's witnesses: same plan."""
+
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            lambda: chain_workload(2, 6, seed=0),
+            lambda: chain_workload(3, 8, seed=1),
+            lambda: chain_workload(4, 6, seed=2),
+            lambda: usergroup_workload(8, 4, 5, seed=5),
+        ],
+    )
+    def test_every_view_row_gets_the_database_routes_plan(self, workload):
+        db, query, _ = workload()
+        prov = why_provenance(query, db)
+        for row in sorted(view_rows(query, db), key=repr):
+            scanned = chain_join_source_deletion(query, db, row)
+            witnessed = chain_join_source_deletion(query, db, row, prov=prov)
+            assert witnessed == scanned, row
+
+    def test_layers_drop_rows_on_no_path(self):
+        """(0, 7) agrees with the target but joins nothing: a dead end."""
+        db = Database(
+            [
+                Relation("R1", ["A", "B"], [(0, 0), (0, 7)]),
+                Relation("R2", ["B", "X"], [(0, 1), (0, 2)]),
+                Relation("R3", ["C", "D"], [(1, 0), (2, 0), (3, 0)]),
+            ]
+        )
+        query = parse_query("PROJECT[A, D](R1 JOIN RENAME[X -> C](R2) JOIN R3)")
+        prov = why_provenance(query, db)
+        _, scanned = build_chain_network(query, db, (0, 0))
+        _, witnessed = build_chain_network(query, db, (0, 0), prov)
+        assert set(witnessed) == prov.witness_universe((0, 0))
+        assert set(scanned) - set(witnessed) == {("R1", (0, 7)), ("R3", (3, 0))}
+        assert witnessed == [c for c in scanned if c in set(witnessed)]
+        plan = chain_join_source_deletion(query, db, (0, 0), prov=prov)
+        assert plan == chain_join_source_deletion(query, db, (0, 0))
+        verify_plan(query, db, plan)
+
+    def test_rejects_missing_target(self):
+        db, query, _ = chain_workload(3, 4, seed=1)
+        with pytest.raises(InfeasibleError, match="not in the view"):
+            chain_join_source_deletion(
+                query, db, (99, 99), prov=why_provenance(query, db)
+            )
 
 
 class TestGuards:

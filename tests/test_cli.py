@@ -50,6 +50,31 @@ class TestLoadDatabase:
         with pytest.raises(ReproError, match="missing key"):
             load_database(str(path))
 
+    @pytest.mark.parametrize(
+        "relations, names",
+        [
+            ({"R": {"name": "R", "schema": ["A"], "rows": [[1]]}}, "dict"),
+            ([["R"]], r"relations\[0\]"),
+            ([{"name": "R", "schema": ["A"], "rows": 5}], "'R'.*rows 5"),
+            ([{"name": "R", "schema": ["A"], "rows": [5]}], "'R'.*rows \\[5\\]"),
+            ([{"name": "R", "schema": "A", "rows": [[1]]}], "'R'.*schema 'A'"),
+        ],
+    )
+    def test_malformed_entries_name_the_file_and_entry(
+        self, tmp_path, relations, names
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"relations": relations}))
+        with pytest.raises(ReproError, match="bad.json") as caught:
+            load_database(str(path))
+        assert caught.match(names)
+
+    def test_malformed_entry_is_a_clean_cli_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"relations": {"R": {}}}))
+        assert main(["show", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestCommands:
     def test_show(self, db_file, capsys):

@@ -11,12 +11,22 @@ engine at the level it serves, ``DEFAULT_OPTIMIZER_LEVEL``:
 * minimal witnesses against ``legacy_witnesses``;
 * hypothetical survival against ``interpret_view_rows(query, db.delete(T))``,
   for single candidates and for a vector long enough to take the
-  vectorized kernel.
+  vectorized kernel;
+* the served ``where`` of every attribute of a few rows, and of fields
+  outside the view, against the plan's where executor
+  (``where_provenance``) — derived from the warm witnesses where the plan
+  has a column map, the where executor's own fallback where it does not
+  (the absorption shapes);
+* an exact source ``delete`` of a few rows against
+  ``minimum_source_deletion`` without ``prov=`` (so the chain-join min cut
+  scans the database instead of reading the warm witnesses).
 
 A replay of write-heavy curator cycles (why, where, evaluate, a probe, an
 exact source deletion, a delete/re-insert write pair) runs twice through
 one engine, and every read answer must equal a cold engine's over a
 value-equal copy of the database: warm state must not depend on history.
+On the second pass the warm engine must do no cold work: no witness build,
+no cold entry and no where-provenance pass.
 
 Every check runs before and after one ``apply_delta`` of mixed deletions
 and inserts, so the patched state (store, witness kernel, warm oracle) is
@@ -44,10 +54,15 @@ import repro
 from repro.algebra import DEFAULT_OPTIMIZER_LEVEL, Database, Relation, parse_query
 from repro.algebra.plan import compile_plan
 from repro.columnar import HAVE_NUMPY, ColumnStore
-from repro.errors import ReproError
+from repro.deletion import minimum_source_deletion
+from repro.errors import InfeasibleError, ReproError
+from repro.observability import default_registry
 from repro.oracle import interpret_view_rows, legacy_witnesses
 from repro.provenance import SourceIndex, provenance_cache
 from repro.provenance.bitset import VECTORIZED_MIN_BATCH
+from repro.provenance.cache import cached_plan
+from repro.provenance import where as where_module
+from repro.provenance.where import where_provenance
 from repro.service import (
     DeleteRequest,
     EvaluateRequest,
@@ -115,6 +130,46 @@ def _check_engine(engine, text, query, db, candidates):
         assert hypo.ok, hypo
         assert hypo.destroyed == tuple(sorted(rows - after, key=repr))
         assert hypo.surviving == len(after)
+    _check_where(engine, text, query, db, rows)
+    _check_delete(engine, text, query, db, rows)
+
+
+def _check_where(engine, text, query, db, rows):
+    """Served ``where`` == the plan's where executor, errors included."""
+    reference = where_provenance(query, db)
+    attributes = reference.schema.attributes
+    outside = tuple("no such value" for _ in attributes)
+    fields = [
+        (row, attribute)
+        for row in sorted(rows, key=repr)[:3]
+        for attribute in attributes
+    ] + [(outside, attributes[0] if attributes else "A"), (outside, "no_attr")]
+    if rows:
+        fields.append((min(rows, key=repr), "no_attr"))
+    for row, attribute in fields:
+        served = engine.execute(WhereRequest("db", text, row, attribute))
+        try:
+            expected = reference.backward(row, attribute)
+        except InfeasibleError as error:
+            assert not served.ok and served.error == str(error), served
+            continue
+        assert served.ok, served
+        assert served.locations == tuple(sorted(expected, key=repr))
+
+
+def _check_delete(engine, text, query, db, rows):
+    """An exact source deletion == the dispatcher without the warm table."""
+    for row in sorted(rows, key=repr)[:2]:
+        served = engine.execute(
+            DeleteRequest("db", text, row, objective="source", exact=True)
+        )
+        assert served.ok, served
+        expected = minimum_source_deletion(query, db, row)
+        assert served.algorithm == expected.algorithm
+        assert served.deletions == expected.sorted_deletions()
+        assert served.side_effects == tuple(
+            sorted(expected.side_effects, key=repr)
+        )
 
 
 def _check_long_vector(engine, text, query, db, candidates):
@@ -222,7 +277,16 @@ class TestExecutorsMatchOracles:
     @pytest.mark.parametrize("level", [0, 1])
     @pytest.mark.parametrize("text", _ABSORPTION_QUERIES)
     def test_absorption_shapes(self, text, level):
-        _run_differential(_absorption_db(), parse_query(text), level, random.Random(7))
+        query = parse_query(text)
+        # No column map: the served where takes the where executor's path.
+        assert cached_plan(query, _absorption_db()).where_columns is None
+        _run_differential(_absorption_db(), query, level, random.Random(7))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_chain_join_shapes(self, seed):
+        """Random instances rarely form a chain; the min cut needs some."""
+        db, query, _ = chain_workload(3, 8, seed=seed)
+        _run_differential(db, query, 1, random.Random(seed))
 
 
 #: The two queries of a write-heavy curator session, an SJ query (a
@@ -295,18 +359,40 @@ class TestWarmStateHasNoHistory:
 
     CYCLES = 16
 
-    def test_replayed_cycles_match_cold_engines(self):
+    def test_replayed_cycles_match_cold_engines(self, monkeypatch):
         sj_db, _, _ = sj_workload(60, seed=1)
         chain_db, _, _ = chain_workload(3, 40, seed=1)
         db = Database(list(sj_db.relations) + list(chain_db.relations))
         cycles = _history_cycles(db, self.CYCLES, random.Random(1))
         checked = 0
+        where_builds = []
+        build = where_module.where_provenance
+
+        def counted_where_provenance(*args, **kwargs):
+            where_builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(
+            where_module, "where_provenance", counted_where_provenance
+        )
+        registry = default_registry()
+        witness_builds = registry.histogram("provenance.witness_build_seconds")
+        cold_builds = registry.counter("service.oracle.cold_builds")
+
+        def cold_work():
+            return (witness_builds.count, cold_builds.value, len(where_builds))
+
         with ServiceEngine({"db": db}) as engine:
-            for _ in range(2):
+            for second_pass in (False, True):
                 for cycle in cycles:
                     for request in cycle:
+                        before = cold_work()
                         answer = encode_response(engine.execute(request))
                         assert answer["ok"], (request, answer)
+                        if second_pass:
+                            # Steady state: every read and write is served
+                            # from, or patches, the warm entries.
+                            assert cold_work() == before, request
                         if isinstance(request, ApplyDeltaRequest):
                             assert answer["deleted"] + answer["inserted"] == 1
                             continue

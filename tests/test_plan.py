@@ -160,6 +160,38 @@ class TestPlanExecution:
             plan.rows(changed)
 
 
+class TestWhereColumns:
+    """The compile-time column map ``where`` is read off witnesses with."""
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_join_merges_same_named_columns(self, catalog, level):
+        plan = compile_plan(
+            parse_query("SELECT[A != C](R JOIN S)"), catalog, optimizer_level=level
+        )
+        assert plan.where_columns == (
+            (("R", "A"),),
+            (("R", "B"), ("S", "B")),
+            (("S", "C"),),
+        )
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_rename_and_projection_keep_base_fields(self, catalog, level):
+        query = parse_query("PROJECT[D, A](RENAME[C -> D](R JOIN S))")
+        plan = compile_plan(query, catalog, optimizer_level=level)
+        assert plan.schema.attributes == ("D", "A")
+        assert plan.where_columns == ((("S", "C"),), (("R", "A"),))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "R UNION RENAME[C -> A](S)",
+            "PROJECT[A](R JOIN RENAME[A -> A2](R))",
+        ],
+    )
+    def test_union_or_repeated_scan_has_no_map(self, catalog, text):
+        assert compile_plan(parse_query(text), catalog).where_columns is None
+
+
 class TestRenderPlan:
     def test_explain_and_render_agree(self, catalog):
         plan = compile_plan(parse_query("PROJECT[A](R JOIN S)"), catalog)
