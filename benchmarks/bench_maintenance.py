@@ -159,7 +159,6 @@ def _measure_family(name: str, db, query, n_deltas: int) -> Dict[str, object]:
             "median_delta_speedup": median(speedups),
             "match": match,
             "patched": inc.stats()["oracles_patched"] - counted["oracles_patched"],
-            "rebuilt": inc.stats()["oracles_rebuilt"] - counted["oracles_rebuilt"],
         }
 
 

@@ -11,12 +11,11 @@ arrival times are scheduled up front at a rate the system does not control
 * **naive (unbatched per-request)** — one request at a time, in arrival
   order, the way a per-request frontend without this serving layer answers
   them: each hypothetical-deletion probe re-executes the compiled physical
-  plan against the hypothetical database ``db.delete(T)`` (the library's
-  own provenance-free per-request mode,
-  ``HypotheticalDeletions(use_provenance=False)`` — it still enjoys the
-  compile-once plan memo of PR 2/3, so the baseline is the strongest
-  per-request execution the library offers without the serving engine's
-  warm state), and nothing is coalesced;
+  plan against the hypothetical database ``db.delete(T)``
+  (``cached_plan(query, db).rows(db.delete(T))`` — it still enjoys the
+  compile-once plan memo, so the baseline is the strongest per-request
+  execution the library offers without the serving engine's warm state),
+  and nothing is coalesced;
 * **batched** — the same requests submitted to the
   :class:`~repro.service.batcher.MicroBatcher` at their arrival times:
   concurrently queued deletion candidates for the same (database, query)
@@ -68,6 +67,7 @@ from repro.provenance import (
     where_provenance,
     why_provenance,
 )
+from repro.provenance.cache import cached_plan
 from repro.provenance.locations import SourceTuple
 from repro.provenance.witness_table import scipy_sparse
 from repro.service import (
@@ -236,16 +236,16 @@ def _percentiles(latencies: Sequence[float]) -> Tuple[float, float]:
 def _naive_executor(engine: ServiceEngine, query, db) -> Callable:
     """The unbatched per-request answerer (no warm witness-mask state).
 
-    Hypotheticals re-execute the compiled plan over ``db.delete(T)`` —
-    the library's per-request mode; other kinds go through the engine's
-    ordinary dispatch, which is already a single warm cache hit.
+    Hypotheticals re-execute the compiled plan over ``db.delete(T)``;
+    other kinds go through the engine's ordinary dispatch, which is
+    already a single warm cache hit.
     """
-    baseline = HypotheticalDeletions(query, db, use_provenance=False)
-    rows = baseline.rows
+    plan = cached_plan(query, db)
+    rows = plan.rows(db)
 
     def execute(request):
         if isinstance(request, HypotheticalRequest):
-            after = baseline.view_after(request.deletions)
+            after = plan.rows(db.delete(request.deletions))
             return HypotheticalResponse(
                 destroyed=tuple(sorted(rows - after, key=repr)),
                 surviving=len(after),
@@ -481,7 +481,7 @@ def _emit(
         f"{section['largest_speedup_batched']:.2f}x "
         f"(target >= {TARGET_LARGEST_SPEEDUP}x)",
         f"provenance cache during the run: {provenance_cache.stats()}",
-        f"json: {json_path} (key: service)",
+        f"json: {os.path.basename(json_path)} (key: service)",
     ]
     write_report("service", lines, json_path)
     return section

@@ -275,8 +275,13 @@ class ColumnStore:
         return ids
 
     def pool_array(self):
-        """The value pool as an object ndarray (cached)."""
-        if self._pool_obj is None:
+        """The value pool as an object ndarray (cached).
+
+        The pool is shared with delta-patched stores and grows when a
+        pending relation lowers, possibly after this cache was filled, so
+        a cache shorter than the pool is rebuilt.
+        """
+        if self._pool_obj is None or len(self._pool_obj) < len(self._pool):
             arr = _np.empty(len(self._pool), dtype=object)
             for position, value in enumerate(self._pool):
                 arr[position] = value

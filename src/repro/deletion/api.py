@@ -14,13 +14,14 @@ query's class and route to the algorithm the paper's tables promise:
 Each returned plan records the algorithm used, so callers can see which side
 of the dichotomy their query landed on.
 
-Both dispatchers obtain the why-provenance once — through the shared
-:mod:`repro.provenance.cache` — and hand the same object to whichever solver
-they route to, so dispatch never costs an extra annotated evaluation.  The
-chain-join min cut is the exception when no ``prov`` is passed: it builds
-its network by scanning the database and needs no provenance; a caller
-that passes ``prov`` (the serving engine, from its warm witness table) gets
-the same cut built from the target's witnesses.
+Each solver obtains the why-provenance itself — through the shared
+:mod:`repro.provenance.cache` — unless the caller passes ``prov``, so
+dispatch never costs an extra annotated evaluation;
+:func:`minimum_source_deletion` looks it up once for the exact/greedy pair
+it may try in turn.  The chain-join min cut needs no provenance when none
+is passed: it builds its network by scanning the database; a caller that
+passes ``prov`` (the serving engine, from its warm witness table) gets the
+same cut built from the target's witnesses.
 """
 
 from __future__ import annotations
@@ -67,12 +68,8 @@ def delete_view_tuple(
     (:class:`QueryClassError`).
     """
     if is_spu(query):
-        if prov is None:
-            prov = cached_why_provenance(query, db)
         return spu_view_deletion(query, db, target, prov=prov)
     if is_sj(query):
-        if prov is None:
-            prov = cached_why_provenance(query, db)
         return sj_view_deletion(query, db, target, prov=prov)
     if not allow_exponential:
         # Refuse before computing provenance: on the hard fragments the
@@ -83,8 +80,6 @@ def delete_view_tuple(
             "side-effect problem is NP-hard for this class (Theorems 2.1, "
             "2.2) — pass allow_exponential=True to run the exact search"
         )
-    if prov is None:
-        prov = cached_why_provenance(query, db)
     return exact_view_deletion(
         query, db, target, node_budget=node_budget, prov=prov
     )
@@ -107,12 +102,8 @@ def minimum_source_deletion(
     non-optimal).
     """
     if is_spu(query):
-        if prov is None:
-            prov = cached_why_provenance(query, db)
         return spu_source_deletion(query, db, target, prov=prov)
     if is_sj(query):
-        if prov is None:
-            prov = cached_why_provenance(query, db)
         return sj_source_deletion(query, db, target, prov=prov)
     catalog = {name: db[name].schema for name in db}
     try:

@@ -32,11 +32,10 @@ witness.  The implementations:
   budget-guarded.
 
 Side effects on the view are reported but not optimized — that is the
-defining difference from Section 2.1.  Reporting goes through the
-delta-aware :class:`~repro.deletion.hypothetical.HypotheticalDeletions`
-oracle: when the witness masks are in hand the answer comes from the
-inverted source-bit index; otherwise the compiled plan re-evaluates against
-the hypothetical database (never the per-call recursive interpreter).
+defining difference from Section 2.1.  Every solver here holds the
+why-provenance it searched, so the report is read off the same witness
+masks (:meth:`~repro.provenance.why.WhyProvenance.side_effects`), never by
+re-evaluating the query over the hypothetical database.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from repro.provenance.cache import cached_why_provenance
 from repro.provenance.locations import SourceTuple
 from repro.provenance.why import WhyProvenance
 from repro.deletion.chain_join import chain_join_source_deletion
-from repro.deletion.hypothetical import HypotheticalDeletions
 from repro.deletion.plan import DeletionPlan
 from repro.solvers.setcover import exact_min_hitting_set, greedy_hitting_set
 
@@ -68,30 +66,19 @@ DEFAULT_NODE_BUDGET = 2_000_000
 
 
 def _finish(
-    query: Query,
-    db: Database,
+    prov: WhyProvenance,
     target: Row,
     deletions: Iterable[SourceTuple],
     algorithm: str,
     optimal: bool,
-    prov: Optional[WhyProvenance] = None,
 ) -> DeletionPlan:
-    """Build a plan, reporting side effects through the hypothetical oracle.
-
-    With a bitset-backed ``prov`` the report comes straight from the
-    witness masks; without one the compiled plan re-evaluates against the
-    hypothetical database (``use_provenance=False`` keeps the oracle from
-    computing provenance just for the report).
-    """
+    """Build a plan, reporting side effects from ``prov``'s witness masks."""
     target = tuple(target)
     deletions = frozenset(deletions)
-    oracle = HypotheticalDeletions(
-        query, db, prov=prov, use_provenance=prov is not None
-    )
     return DeletionPlan(
         target=target,
         deletions=deletions,
-        side_effects=oracle.side_effects(target, deletions),
+        side_effects=prov.side_effects(target, deletions),
         algorithm=algorithm,
         objective="source",
         optimal=optimal,
@@ -118,9 +105,7 @@ def spu_source_deletion(
     if prov is None:
         prov = cached_why_provenance(query, db)
     deletions = prov.witness_universe(target)
-    return _finish(
-        query, db, target, deletions, "spu-unique", optimal=True, prov=prov
-    )
+    return _finish(prov, target, deletions, "spu-unique", optimal=True)
 
 
 def sj_source_deletion(
@@ -151,8 +136,7 @@ def sj_source_deletion(
     (witness,) = witnesses
     component = min(witness, key=repr)
     return _finish(
-        query, db, target, {component}, "sj-single-component", optimal=True,
-        prov=prov,
+        prov, target, {component}, "sj-single-component", optimal=True
     )
 
 
@@ -174,8 +158,7 @@ def greedy_source_deletion(
     monomials = list(prov.witnesses(target))
     deletions = greedy_hitting_set(monomials)
     return _finish(
-        query, db, target, deletions, "greedy-hitting-set", optimal=False,
-        prov=prov,
+        prov, target, deletions, "greedy-hitting-set", optimal=False
     )
 
 
@@ -196,6 +179,5 @@ def exact_source_deletion(
     monomials = list(prov.witnesses(target))
     deletions = exact_min_hitting_set(monomials, node_budget=node_budget)
     return _finish(
-        query, db, target, deletions, "exact-min-hitting-set", optimal=True,
-        prov=prov,
+        prov, target, deletions, "exact-min-hitting-set", optimal=True
     )

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from repro.errors import ExponentialGuardError, InfeasibleError
+from repro.errors import InfeasibleError
 from repro.algebra.ast import Query, RelationRef
 from repro.algebra.evaluate import DEFAULT_VIEW_NAME
 from repro.algebra.plan import CompiledPlan
@@ -441,11 +441,9 @@ class BitsetProvenance:
         rows — sound when the query is linear in each inserted relation
         (:func:`_join_nonlinear_names`; a name may appear in several Union
         branches, only Join-on-both-sides breaks linearity).  Self-joins
-        over an inserted relation, or an
-        :class:`~repro.errors.ExponentialGuardError` during a branch, fall
-        back to one full re-annotation over ``new_db`` (still on the
-        shared index and plan).  Branch results splice into the arrays
-        (:meth:`WitnessTable.merge_rows`).
+        over an inserted relation take one full re-annotation over
+        ``new_db`` instead (still on the shared index and plan).  Branch
+        results splice into the arrays (:meth:`WitnessTable.merge_rows`).
 
         A warm survival index is carried across the same delta
         (:meth:`SurvivalIndex.patched`), so a probe after the write costs
@@ -489,48 +487,42 @@ class BitsetProvenance:
             plan = cached_plan(query, new_db)
         use_store = store is not None and store.matches(new_db)
         names = sorted(inserted)
-        try:
-            branch_tables: List[Dict[Row, MaskWitnesses]] = []
-            for i, name in enumerate(names):
-                branch_db = new_db
-                removed_by: Dict[str, Set[Row]] = {}
-                for j, other in enumerate(names):
-                    if j < i:
-                        # Earlier deltas already contributed their cross
-                        # terms; this branch sees those relations pre-insert.
-                        mid = new_db[other].rows - inserted[other]
-                        branch_db = branch_db.with_relation(
-                            Relation._trusted(
-                                other, new_db[other].schema, frozenset(mid)
-                            )
+        branch_tables: List[Dict[Row, MaskWitnesses]] = []
+        for i, name in enumerate(names):
+            branch_db = new_db
+            removed_by: Dict[str, Set[Row]] = {}
+            for j, other in enumerate(names):
+                if j < i:
+                    # Earlier deltas already contributed their cross
+                    # terms; this branch sees those relations pre-insert.
+                    mid = new_db[other].rows - inserted[other]
+                    branch_db = branch_db.with_relation(
+                        Relation._trusted(
+                            other, new_db[other].schema, frozenset(mid)
                         )
-                        removed_by[other] = set(inserted[other])
-                    elif j == i:
-                        branch_db = branch_db.with_relation(
-                            Relation._trusted(
-                                name, new_db[name].schema, inserted[name]
-                            )
-                        )
-                        removed_by[name] = set(
-                            new_db[name].rows - inserted[name]
-                        )
-                if use_store:
-                    # A throwaway branch store: the delta relation relowers
-                    # (it holds a handful of rows), everything else shares
-                    # the patched store's columns and index — so the branch
-                    # runs on the vectorized columnar kernels.
-                    branch_store = store.apply_delta(branch_db, removed_by, {})
-                    branch_tables.append(
-                        plan.annotated_table_columnar(
-                            branch_store, self._index
-                        ).to_masks()
                     )
-                else:
-                    branch_tables.append(
-                        plan.annotated_rows(branch_db, self._index)
+                    removed_by[other] = set(inserted[other])
+                elif j == i:
+                    branch_db = branch_db.with_relation(
+                        Relation._trusted(
+                            name, new_db[name].schema, inserted[name]
+                        )
                     )
-        except ExponentialGuardError:
-            return self._reannotate(query, new_db, plan, store)
+                    removed_by[name] = set(new_db[name].rows - inserted[name])
+            if use_store:
+                # A throwaway branch store: the delta relation relowers
+                # (it holds a handful of rows), everything else shares
+                # the patched store's columns and index — so the branch
+                # runs on the vectorized columnar kernels.
+                branch_store = store.apply_delta(branch_db, removed_by, {})
+                branch_tables.append(
+                    plan.annotated_table_columnar(branch_store, self._index)
+                    .to_masks()
+                )
+            else:
+                branch_tables.append(
+                    plan.annotated_rows(branch_db, self._index)
+                )
 
         # Merge the branch contributions: only rows the delta actually
         # touched are decoded/re-minimized, and they splice back into the

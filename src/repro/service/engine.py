@@ -49,7 +49,7 @@ import threading
 import time
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.errors import ExponentialGuardError, ReproError
+from repro.errors import ReproError
 from repro.algebra.ast import Query
 from repro.algebra.parser import parse_query
 from repro.algebra.relation import Database, Row
@@ -59,11 +59,7 @@ from repro.deletion.api import delete_view_tuple, minimum_source_deletion
 from repro.deletion.hypothetical import HypotheticalDeletions
 from repro.observability import MetricsRegistry, SlowQueryLog, default_registry
 from repro.observability.tracing import tracer as _tracer
-from repro.provenance.cache import (
-    cached_where_provenance,
-    cached_why_provenance,
-    provenance_cache,
-)
+from repro.provenance.cache import cached_where_provenance, provenance_cache
 from repro.provenance.locations import SourceTuple
 from repro.provenance.where import where_from_witnesses
 from repro.provenance.why import WhyProvenance
@@ -103,7 +99,6 @@ _STATS_COUNTERS = (
     ("deltas_applied", "service.delta.applied"),
     ("oracles_patched", "service.delta.oracles_patched"),
     ("oracles_reused", "service.delta.oracles_reused"),
-    ("oracles_rebuilt", "service.delta.oracles_rebuilt"),
 )
 
 
@@ -166,7 +161,6 @@ class ServiceEngine:
         self._m_deltas = m.counter("service.delta.applied")
         self._m_patched = m.counter("service.delta.oracles_patched")
         self._m_reused = m.counter("service.delta.oracles_reused")
-        self._m_rebuilt = m.counter("service.delta.oracles_rebuilt")
         if slow_query_log is None and slow_query_s is not None:
             slow_query_log = SlowQueryLog(threshold_s=slow_query_s)
         self._slow_log = slow_query_log
@@ -200,21 +194,15 @@ class ServiceEngine:
             self._versions[name] = VersionedDatabase(db)
             for key in [k for k in self._oracles if k[0] == name]:
                 oracle = self._oracles[key]
-                query = self._queries.get(key[1])
-                if (
-                    old_db is not None
-                    and old_db is not db
-                    and query is not None
-                    and all(
-                        rel in db and rel in old_db and db[rel] == old_db[rel]
-                        for rel in query.relation_names()
-                    )
+                if old_db is not None and all(
+                    rel in db and rel in old_db and db[rel] == old_db[rel]
+                    for rel in oracle.query.relation_names()
                 ):
-                    self._oracles[key] = oracle.rebased(db, keep_baseline=True)
+                    self._oracles[key] = oracle.rebased(db)
                     self._m_reused.inc()
                 else:
                     del self._oracles[key]
-            if old_db is not None and old_db is not db:
+            if old_db is not None:
                 provenance_cache.invalidate_database(old_db)
 
     def database(self, name: str) -> Database:
@@ -272,7 +260,10 @@ class ServiceEngine:
         lock so a cold pair never stalls unrelated requests; rare racing
         builds are cheap because the underlying provenance/plan come from
         the shared in-flight-deduplicated cache, and one build wins the
-        slot.
+        slot.  A build only installs while the snapshot it read is still
+        the one registered: when a write or re-registration landed during
+        the build, the built oracle answers this one request (about the
+        snapshot the request read) and the slot stays empty.
         """
         key = (database, query_text)
         with self._lock:
@@ -290,6 +281,8 @@ class ServiceEngine:
             )
         with self._lock:
             self._check_open()
+            if self._databases.get(database) is not db:
+                return oracle
             return self._oracles.setdefault(key, oracle)
 
     # ------------------------------------------------------------------
@@ -314,11 +307,9 @@ class ServiceEngine:
           old store's value pool and source index;
         * each warm oracle whose query reads only untouched relations is
           re-pointed with its provenance and baseline intact (``reused``);
-        * each oracle with a witness kernel gets the kernel delta-patched
-          — witness-table row drops for deletions, delta-branch
-          re-annotation for inserts (``patched``);
-        * oracles whose patch is refused (exponential-guard) are dropped
-          for lazy rebuild on next touch (``rebuilt``).
+        * every other oracle gets its witness kernel delta-patched —
+          witness-table row drops for deletions, delta-branch
+          re-annotation for inserts (``patched``).
 
         Finally the displaced snapshot's shared cache entries are
         invalidated.  Answers after the write are bit-identical to a cold
@@ -346,59 +337,37 @@ class ServiceEngine:
                 new_store = store.apply_delta(new_db, deleted_by, inserted_by)
                 provenance_cache.seed("columnar", new_db, new_db, "", new_store)
             changed = set(delta.touched_relations())
-            patched = reused = rebuilt = 0
+            patched = reused = 0
             for key in [k for k in self._oracles if k[0] == name]:
                 oracle = self._oracles[key]
-                query = self._queries.get(key[1])
-                # ``is not None``: a provenance over an empty view is
-                # falsy (``len() == 0``) but still has a kernel to patch.
-                kernel = (
-                    oracle.provenance.kernel
-                    if oracle.provenance is not None
-                    else None
-                )
-                if query is not None and changed.isdisjoint(
-                    query.relation_names()
-                ):
+                query = oracle.query
+                if changed.isdisjoint(query.relation_names()):
                     # The write cannot change this query's answer or its
                     # witnesses: carry everything over, baseline included.
-                    new_oracle = oracle.rebased(new_db, keep_baseline=True)
+                    self._oracles[key] = oracle.rebased(new_db)
                     reused += 1
-                elif kernel is None:
-                    # Compiled-plan fallback mode: nothing warm to patch
-                    # beyond the plan itself, which the memo carries.
-                    new_oracle = oracle.rebased(new_db)
-                    reused += 1
-                else:
-                    try:
-                        new_kernel = kernel.apply_delta(
-                            new_db,
-                            deleted_sources=delta.deletions,
-                            inserted_by_name=inserted_by,
-                            query=query,
-                            store=new_store,
-                        )
-                    except ExponentialGuardError:
-                        del self._oracles[key]
-                        rebuilt += 1
-                        continue
-                    new_oracle = oracle.rebased(
-                        new_db, prov=WhyProvenance(new_kernel)
-                    )
-                    patched += 1
-                self._oracles[key] = new_oracle
+                    continue
+                new_kernel = oracle.provenance.kernel.apply_delta(
+                    new_db,
+                    deleted_sources=delta.deletions,
+                    inserted_by_name=inserted_by,
+                    query=query,
+                    store=new_store,
+                )
+                self._oracles[key] = oracle.rebased(
+                    new_db, prov=WhyProvenance(new_kernel)
+                )
+                patched += 1
             provenance_cache.invalidate_database(old_db)
             self._m_deltas.inc()
             self._m_patched.inc(patched)
             self._m_reused.inc(reused)
-            self._m_rebuilt.inc(rebuilt)
             return ApplyDeltaResponse(
                 epoch=delta.epoch,
                 deleted=len(delta.deletions),
                 inserted=len(delta.inserts),
                 patched=patched,
                 reused=reused,
-                rebuilt=rebuilt,
             )
 
     # ------------------------------------------------------------------
@@ -508,7 +477,7 @@ class ServiceEngine:
                 plan = provenance_cache.peek_plan(query, db)
                 if plan is not None:
                     detail["plan"] = plan.explain()
-            if oracle is not None and oracle.provenance is not None:
+            if oracle is not None:
                 build_stats = getattr(
                     oracle.provenance.kernel, "build_stats", None
                 )
@@ -526,14 +495,7 @@ class ServiceEngine:
 
     def _why(self, request: WhyRequest) -> WhyResponse:
         oracle = self.oracle(request.database, request.query)
-        prov = oracle.provenance
-        if prov is None:
-            # The entry's build was refused as exponential: a direct build
-            # answers with the same refusal.
-            prov = cached_why_provenance(
-                oracle.query, oracle.db, store=self._column_store(oracle.db)
-            )
-        witnesses = prov.witnesses(request.row)
+        witnesses = oracle.provenance.witnesses(request.row)
         return WhyResponse(
             witnesses=tuple(
                 sorted(
@@ -544,10 +506,9 @@ class ServiceEngine:
 
     def _where(self, request: WhereRequest) -> WhereResponse:
         oracle = self.oracle(request.database, request.query)
-        prov = oracle.provenance
-        if prov is not None and oracle.plan.where_columns is not None:
+        if oracle.plan.where_columns is not None:
             locations = where_from_witnesses(
-                oracle.plan, prov, request.row, request.attribute
+                oracle.plan, oracle.provenance, request.row, request.attribute
             )
         else:
             # A union, or a relation scanned twice: absorption can hide a
@@ -650,18 +611,12 @@ class ServiceEngine:
         oracle: HypotheticalDeletions,
         deletion_sets: Sequence[FrozenSet[SourceTuple]],
     ) -> List[Tuple[Row, ...]]:
-        """Sorted destroyed-row tuples per candidate, mask path or fallback."""
-        prov = oracle.provenance
-        kernel = prov.kernel if prov is not None else None
-        if kernel is not None:
-            encoded = [kernel.encode_deletions_auto(d) for d in deletion_sets]
-            destroyed = kernel.batch_destroyed(encoded)
-            return [_sorted_rows(rows) for rows in destroyed]
-        baseline = oracle.rows
-        return [
-            _sorted_rows(baseline - after)
-            for after in oracle.batch_view_after(deletion_sets)
-        ]
+        """Sorted destroyed-row tuples per candidate, from one batch call
+        on the witness kernel."""
+        kernel = oracle.provenance.kernel
+        encoded = [kernel.encode_deletions_auto(d) for d in deletion_sets]
+        destroyed = kernel.batch_destroyed(encoded)
+        return [_sorted_rows(rows) for rows in destroyed]
 
     # ------------------------------------------------------------------
     # Introspection and lifecycle

@@ -333,11 +333,9 @@ class ApplyDeltaResponse(Response):
     #: Net applied deletions/insertions (no-op pairs normalized away).
     deleted: int = 0
     inserted: int = 0
-    #: Warm oracle accounting: delta-patched / reused as-is / dropped for
-    #: lazy rebuild.
+    #: Warm oracle accounting: delta-patched / reused as-is.
     patched: int = 0
     reused: int = 0
-    rebuilt: int = 0
     kind = "apply_delta"
 
 
@@ -525,7 +523,6 @@ def encode_response(response: Response) -> Dict[str, object]:
         out["inserted"] = response.inserted
         out["patched"] = response.patched
         out["reused"] = response.reused
-        out["rebuilt"] = response.rebuilt
     elif isinstance(response, StatsResponse):
         out["stats"] = response.stats
         out["metrics"] = response.metrics
@@ -586,7 +583,6 @@ def decode_response(payload: Dict[str, object]) -> Response:
             inserted=payload["inserted"],
             patched=payload.get("patched", 0),
             reused=payload.get("reused", 0),
-            rebuilt=payload.get("rebuilt", 0),
         )
     if kind == "stats":
         return StatsResponse(

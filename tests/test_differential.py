@@ -174,10 +174,7 @@ def _check_delete(engine, text, query, db, rows):
 
 def _check_long_vector(engine, text, query, db, candidates):
     """A vector past the vectorized threshold, on the engine's warm kernel."""
-    prov = engine.oracle("db", text).provenance
-    if prov is None:
-        return  # provenance refused: the plan fallback has no batch kernel
-    kernel = prov.kernel
+    kernel = engine.oracle("db", text).provenance.kernel
     vector = [
         candidates[i % len(candidates)] for i in range(VECTORIZED_MIN_BATCH + 2)
     ]

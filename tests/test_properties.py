@@ -296,31 +296,17 @@ class TestBatchedHypotheticalDeletion:
         rng = random.Random(seed)
         deletion_sets = _random_deletion_sets(db, rng, count=6)
         batched = oracle.batch_view_after(deletion_sets)
-        for deletions, after in zip(deletion_sets, batched):
-            assert after == interpret_view_rows(query, db.delete(deletions)), (
-                query,
-                deletions,
-            )
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=seeds)
-    def test_plan_fallback_matches_mask_path(self, seed):
-        """use_provenance=False (provenance refused) gives the same answers."""
-        db, query = random_instance(seed, max_depth=3)
-        masked = HypotheticalDeletions(query, db)
-        fallback = HypotheticalDeletions(query, db, use_provenance=False)
-        assert masked.uses_masks and not fallback.uses_masks
-        rng = random.Random(seed + 7)
-        deletion_sets = _random_deletion_sets(db, rng, count=4)
-        assert masked.batch_view_after(deletion_sets) == fallback.batch_view_after(
-            deletion_sets
-        )
-        rows = sorted(masked.rows, key=repr)
-        if rows:
-            target = rows[0]
-            assert masked.batch_side_effects(
-                target, deletion_sets
-            ) == fallback.batch_side_effects(target, deletion_sets)
+        afters = [interpret_view_rows(query, db.delete(d)) for d in deletion_sets]
+        for deletions, after, expected in zip(deletion_sets, batched, afters):
+            assert after == expected, (query, deletions)
+        # Side effects too: the baseline minus the re-evaluated view,
+        # less the target itself.
+        baseline = interpret_view_rows(query, db)
+        assert oracle.rows == baseline
+        for target in sorted(baseline, key=repr)[:2]:
+            assert oracle.batch_side_effects(target, deletion_sets) == [
+                frozenset(baseline - after - {target}) for after in afters
+            ], (query, target)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds)

@@ -13,8 +13,8 @@ and against :mod:`repro.oracle`.  The module runs on both numpy legs; the
 cases that need the vectorized kernel skip without it.
 
 It also pins that the retired ``workers`` knob is gone from every API
-and the CLI, plus two unrelated fixes that live here: the cache counter
-reset and the oracle's fallback when provenance is refused.
+and the CLI, plus two unrelated checks that live here: the cache counter
+reset, and that a failed provenance build surfaces from the oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import random
 
 import pytest
 
-from repro.errors import ExponentialGuardError, ReproError
+from repro.errors import ReproError
 from repro.algebra.parser import parse_query
 from repro.algebra.relation import Database, Relation
 from repro.deletion import (
@@ -421,26 +421,7 @@ class TestCacheCounters:
 
 
 class TestProvenanceRefusedFallback:
-    """HypotheticalDeletions degrades to the plan path on guard errors."""
-
-    def test_guard_error_falls_back_to_plan_path(self, monkeypatch):
-        db, query, target = sj_workload(10, seed=2)
-        reference = HypotheticalDeletions(query, db, use_provenance=False)
-
-        def refuse(*args, **kwargs):
-            raise ExponentialGuardError("witness sets refused as exponential")
-
-        monkeypatch.setattr(
-            hypothetical_module, "cached_why_provenance", refuse
-        )
-        oracle = HypotheticalDeletions(query, db)
-        assert oracle.provenance is None
-        assert not oracle.uses_masks
-        deletions = frozenset({db.all_source_tuples()[0]})
-        assert oracle.view_after(deletions) == reference.view_after(deletions)
-        assert oracle.batch_view_after([deletions]) == (
-            reference.batch_view_after([deletions])
-        )
+    """A failed provenance build surfaces; there is no second mode."""
 
     def test_other_errors_still_propagate(self, monkeypatch):
         db, query, _target = sj_workload(10, seed=2)
